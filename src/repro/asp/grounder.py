@@ -16,12 +16,30 @@ The grounder works in two phases:
 Safety (every variable bound by a positive body literal, or by an
 ``=`` assignment whose right-hand side is bound) is checked before
 grounding; unsafe rules raise :class:`~repro.errors.UnsafeRuleError`.
+
+*Externals* (clingo's ``#external``) are ground atoms whose truth is an
+input rather than something the program derives: the grounder treats
+them as possible atoms from the start and emits no rules for them; the
+solver fixes their values on each call (see
+:meth:`~repro.asp.solver.AnswerSetSolver.solve`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.rules import (
@@ -85,9 +103,17 @@ class GroundProgram:
 
     ``stats`` carries the :class:`GroundStats` of the run that produced
     this program (a fresh zeroed instance when constructed directly).
+    ``externals`` are the declared external atoms (a subset of ``atoms``).
     """
 
-    __slots__ = ("normal_rules", "choice_rules", "weak_constraints", "atoms", "stats")
+    __slots__ = (
+        "normal_rules",
+        "choice_rules",
+        "weak_constraints",
+        "atoms",
+        "stats",
+        "externals",
+    )
 
     def __init__(
         self,
@@ -96,12 +122,14 @@ class GroundProgram:
         atoms: Set[Atom],
         weak_constraints: Optional[List[WeakConstraint]] = None,
         stats: Optional[GroundStats] = None,
+        externals: FrozenSet[Atom] = frozenset(),
     ):
         self.normal_rules = normal_rules
         self.choice_rules = choice_rules
         self.weak_constraints = weak_constraints if weak_constraints is not None else []
         self.atoms = atoms
         self.stats = stats if stats is not None else GroundStats()
+        self.externals = externals
 
     def __repr__(self) -> str:
         lines = (
@@ -269,6 +297,9 @@ def order_body(rule: Rule) -> List[BodyElement]:
 # ---------------------------------------------------------------------------
 # Substitution enumeration
 
+# a body element, or the evaluated atom of a ground positive literal
+PlanElement = Union[BodyElement, Atom]
+
 
 class _AtomIndex:
     """Atoms indexed by (predicate, arity, annotation) for fast matching."""
@@ -297,8 +328,27 @@ class _AtomIndex:
         return self._all
 
 
+@functools.lru_cache(maxsize=4096)
+def _plan(rule: Rule) -> Tuple[PlanElement, ...]:
+    """The body evaluation order of ``rule``, with each ground positive
+    literal replaced by its evaluated atom, which :func:`_enumerate`
+    checks with one set lookup instead of matching it against every
+    possible atom of its predicate.  Cached because learning tasks ground
+    the same candidate rules once per example; the plan is a pure
+    function of the (never mutated) rule and the cache is bounded."""
+    out: List[PlanElement] = []
+    for elem in order_body(rule):
+        if isinstance(elem, Literal) and elem.positive and elem.atom.is_ground():
+            atom = _evaluate_atom(elem.atom)
+            if atom is not None:
+                out.append(atom)
+                continue
+        out.append(elem)
+    return tuple(out)
+
+
 def _enumerate(
-    plan: Sequence[BodyElement],
+    plan: Sequence[PlanElement],
     index: _AtomIndex,
     theta: Substitution,
     positives_only: bool,
@@ -313,7 +363,10 @@ def _enumerate(
         yield theta
         return
     elem, rest = plan[0], plan[1:]
-    if isinstance(elem, Literal) and elem.positive:
+    if isinstance(elem, Atom):  # ground positive literal (see _plan)
+        if elem in index:
+            yield from _enumerate(rest, index, theta, positives_only)
+    elif isinstance(elem, Literal) and elem.positive:
         for candidate in index.candidates(elem.atom):
             extended = match_atom(elem.atom, candidate, theta)
             if extended is not None:
@@ -358,21 +411,24 @@ def ground_program(
     program: Program,
     max_atoms: int = 2_000_000,
     budget: Optional[Budget] = None,
+    externals: Iterable[Atom] = (),
 ) -> GroundProgram:
     """Ground ``program``.
 
-    ``max_atoms`` bounds the possible-atom set as a runaway guard
-    (raises :class:`GroundingError` when exceeded).  ``budget``
-    (explicit or ambient) is ticked once per enumerated substitution in
-    both phases, so step budgets and deadlines interrupt grounding
-    before the possible-atom set explodes.
+    ``externals`` declares ground atoms as inputs: they are possible
+    from the start, no rule is emitted for them (so none may head a rule
+    of ``program``), and the solver fixes their truth per call.  ``max_atoms`` bounds the possible-atom set as
+    a runaway guard (raises :class:`GroundingError` when exceeded).
+    ``budget`` (explicit or ambient) is ticked once per enumerated
+    substitution in both phases, so step budgets and deadlines interrupt
+    grounding before the possible-atom set explodes.
 
     The returned program carries :class:`GroundStats` (``.stats``);
     the same numbers land on the ambient ``asp.ground`` telemetry span
     when a tracer is installed.
     """
     with _tele_span("asp.ground", source_rules=len(program)) as sp:
-        ground = _ground(program, max_atoms, budget)
+        ground = _ground(program, max_atoms, budget, frozenset(externals))
         for name, value in ground.stats.as_dict().items():
             sp.incr(f"grounder.{name}", value)
         return ground
@@ -382,15 +438,16 @@ def _ground(
     program: Program,
     max_atoms: int,
     budget: Optional[Budget],
+    externals: FrozenSet[Atom],
 ) -> GroundProgram:
     if budget is None:
         budget = current_budget()
     stats = GroundStats()
-    plans: List[Tuple[Rule, List[BodyElement]]] = []
-    for rule in program:
-        plans.append((rule, order_body(rule)))
+    plans = [(rule, _plan(rule)) for rule in program]
 
     index = _AtomIndex()
+    for atom in externals:
+        index.add(atom)
 
     # Phase 1: possible-atom fixpoint (naive iteration with indexing; the
     # programs produced by the policy layer are small and shallow).
@@ -484,5 +541,10 @@ def _ground(
     stats.atoms = len(index.atoms)
     stats.rules_grounded = len(normal_rules) + len(choice_rules) + len(weak_constraints)
     return GroundProgram(
-        normal_rules, choice_rules, set(index.atoms), weak_constraints, stats=stats
+        normal_rules,
+        choice_rules,
+        set(index.atoms),
+        weak_constraints,
+        stats=stats,
+        externals=externals,
     )

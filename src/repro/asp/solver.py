@@ -24,6 +24,12 @@ Propagation implements four sound inferences over partial assignments:
   dead (contain a false body literal) must be false;
 * *last-support*: a true atom with exactly one alive supporting rule
   forces that rule's body true (supportedness of answer sets).
+
+Externals (see :func:`~repro.asp.grounder.ground_program`) are fixed
+before search: an external in ``assumptions`` is true and counts as a
+fact for the support and stability checks, every other external is
+false.  One solver can so answer many calls that differ only in which
+externals hold, without re-grounding.
 """
 
 from __future__ import annotations
@@ -120,12 +126,14 @@ class AnswerSetSolver:
 
     Resource governance: ``max_steps`` (default 50 million propagation
     passes — effectively "never" for the policy-layer programs, a
-    runaway guard for adversarial ones) bounds the internal step count;
-    exhausting it raises :class:`~repro.errors.BudgetExceededError`
-    carrying ``steps_used``.  An explicit ``budget`` (or, when omitted,
-    the ambient :func:`~repro.runtime.budget.current_budget`) is ticked
-    once per propagation pass, so wall-clock deadlines and shared step
-    budgets interrupt the solver mid-solve.
+    runaway guard for adversarial ones) bounds the step count of each
+    :meth:`solve` call; exhausting it raises
+    :class:`~repro.errors.BudgetExceededError` carrying ``steps_used``.
+    An explicit ``budget`` (or, when omitted, the ambient
+    :func:`~repro.runtime.budget.current_budget` at the time of each
+    :meth:`solve` call) is ticked once per propagation pass, so
+    wall-clock deadlines and shared step budgets interrupt the solver
+    mid-solve.
 
     Stability fast path: every complete candidate reaching verification
     is a *supported* model (no-support propagation runs to fixpoint
@@ -150,7 +158,9 @@ class AnswerSetSolver:
     ):
         self._max_steps = max_steps
         self._steps = 0
-        self._budget = budget if budget is not None else current_budget()
+        self._step_limit = max_steps
+        self._budget = budget
+        self._active_budget: Optional[Budget] = None
         self._use_fast_path = use_fast_path
         self._fast_path: Optional[bool] = None  # decided lazily on first verify
         self.stats = SolveStats()
@@ -163,6 +173,18 @@ class AnswerSetSolver:
 
         self._visible: List[bool] = []
         self._build(ground)
+
+        # externals occurring in some ground rule; the others cannot
+        # influence any answer set.  Models are projected onto the
+        # program's own atoms, so externals are hidden like aux atoms.
+        self._declared_externals = ground.externals
+        self._externals: Dict[Atom, int] = {
+            atom: self._ids[atom] for atom in ground.externals if atom in self._ids
+        }
+        for atom_id in self._externals.values():
+            self._visible[atom_id] = False
+        external_ids = set(self._externals.values())
+        self._derived_ids = [i for i in range(len(self._atoms)) if i not in external_ids]
 
         n = len(self._atoms)
         self._supports: List[List[int]] = [[] for _ in range(n)]
@@ -215,26 +237,49 @@ class AnswerSetSolver:
     # -- solving -------------------------------------------------------------
 
     @property
+    def used_externals(self) -> FrozenSet[Atom]:
+        """The declared externals occurring in some ground rule; the
+        others cannot change any answer set."""
+        return frozenset(self._externals)
+
+    @property
     def steps_used(self) -> int:
         """Propagation passes consumed so far (for post-mortem telemetry)."""
         return self._steps
 
-    def solve(self, max_models: Optional[int] = None) -> "SolveResult":
+    def solve(
+        self, max_models: Optional[int] = None, assumptions: Iterable[Atom] = ()
+    ) -> "SolveResult":
         """Return up to ``max_models`` answer sets (all if ``None``).
 
-        Atoms of internal auxiliary predicates are projected out.  The
+        ``assumptions`` names the externals that are true for this call;
+        every other external is false.  Naming an atom that was not
+        declared external raises :class:`ValueError`.  Atoms of internal
+        auxiliary predicates and externals are projected out.  The
         result is a :class:`SolveResult`: a plain list of answer sets
-        carrying the run's :class:`SolveStats`, which are also recorded
-        on the ambient telemetry span (``asp.solve``) when one exists.
+        carrying this call's :class:`SolveStats`, which are also
+        recorded on the ambient telemetry span (``asp.solve``) when one
+        exists; ``self.stats`` accumulates over all calls.
         """
         with _tele_span(
             "asp.solve", atoms=len(self._atoms), rules=len(self._rules)
         ) as sp:
             models: List[AnswerSet] = []
-            n = len(self._atoms)
-            assignment = [_UNKNOWN] * n
+            assignment = [_UNKNOWN] * len(self._atoms)
+            for atom_id in self._externals.values():
+                assignment[atom_id] = _FALSE
+            for atom in assumptions:
+                atom_id = self._externals.get(atom)
+                if atom_id is not None:
+                    assignment[atom_id] = _TRUE
+                elif atom not in self._declared_externals:
+                    raise ValueError(f"assumption {atom!r} is not an external atom")
             trail: List[int] = []
             before = self.stats.as_dict()
+            self._step_limit = self._steps + self._max_steps
+            self._active_budget = (
+                self._budget if self._budget is not None else current_budget()
+            )
 
             try:
                 for model in self._search(assignment, trail):
@@ -246,9 +291,11 @@ class AnswerSetSolver:
                 stats.models += len(models)
                 stats.steps = self._steps
                 # deltas, so re-solving on one instance never double-counts
+                delta = SolveStats()
                 for name, start in before.items():
-                    sp.incr(f"solver.{name}", getattr(stats, name) - start)
-            return SolveResult(models, stats)
+                    setattr(delta, name, getattr(stats, name) - start)
+                    sp.incr(f"solver.{name}", getattr(delta, name))
+            return SolveResult(models, delta)
 
     def is_satisfiable(self) -> bool:
         return bool(self.solve(max_models=1))
@@ -303,14 +350,15 @@ class AnswerSetSolver:
         changed = True
         while changed:
             self._steps += 1
-            if self._steps > self._max_steps:
+            if self._steps > self._step_limit:
                 raise BudgetExceededError(
                     "solver step limit exceeded",
-                    steps_used=self._steps,
+                    # steps of this call: the limit is start + max_steps
+                    steps_used=self._steps - self._step_limit + self._max_steps,
                     max_steps=self._max_steps,
                 )
-            if self._budget is not None:
-                self._budget.tick()
+            if self._active_budget is not None:
+                self._active_budget.tick()
             changed = False
             # rule-based propagation
             for rule in self._rules:
@@ -350,8 +398,8 @@ class AnswerSetSolver:
                         self._assign(atom_id, value, assignment, trail)
                         self.stats.propagations += 1
                         changed = True
-            # support-based propagation
-            for atom_id in range(len(self._atoms)):
+            # support-based propagation (externals need no support)
+            for atom_id in self._derived_ids:
                 value = assignment[atom_id]
                 if value == _FALSE:
                     continue
@@ -463,8 +511,8 @@ class AnswerSetSolver:
                     break
             if keep and rule.head is not None:
                 reduct.append((rule.head, tuple(positive)))
-        # Least model by forward chaining.
-        least: Set[int] = set()
+        # Least model by forward chaining; true externals are its facts.
+        least: Set[int] = {i for i in self._externals.values() if assignment[i] == _TRUE}
         changed = True
         while changed:
             changed = False

@@ -177,7 +177,14 @@ class LearningError(ReproError):
 
 
 class UnsatisfiableTaskError(LearningError):
-    """Raised when a learning task has no inductive solution in its hypothesis space."""
+    """Raised when a learning task has no inductive solution in its hypothesis space.
+
+    This is a verdict, not a failure (``learn_auto`` expects it while it
+    grows the violation budget), so telemetry spans it unwinds get the
+    status ``unsat`` rather than ``error``.
+    """
+
+    span_status = "unsat"
 
 
 class PolicyError(ReproError):

@@ -87,45 +87,63 @@ class DecomposableLearner:
         self.max_nodes = max_nodes
         self.budget = budget
         self._constraints_only = task.constraints_only()
+        # oracle calls made by the last learn(), reported as ``checks``
+        self._checks = 0
         # static task diagnostics, populated by learn() before the search
         self.diagnostics: List[Diagnostic] = []
 
+    # -- counted oracle calls ------------------------------------------------
+
+    def _positive_holds(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+        self._checks += 1
+        return self.task.positive_holds(hypothesis, example)
+
+    def _negative_holds(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+        self._checks += 1
+        return self.task.negative_holds(hypothesis, example)
+
     # -- building the decomposed model ------------------------------------
+
+    @staticmethod
+    def _distinct(examples) -> List[Tuple[object, int]]:
+        """Equal examples (repeated log entries) once each, with their
+        summed weight, in first-occurrence order: equal examples get
+        identical models, so checking each once changes no result."""
+        weights: dict = {}
+        for example in examples:
+            weights[example] = weights.get(example, 0) + example.weight
+        return list(weights.items())
 
     def _build_models(self, space: Sequence[CandidateRule]) -> List[_ExampleModel]:
         models: List[_ExampleModel] = []
-        for example in self.task.positive:
-            base = self.task.positive_holds([], example)
+        for example, weight in self._distinct(self.task.positive):
+            base = self._positive_holds([], example)
             flags = []
             for candidate in space:
-                holds = self.task.positive_holds([candidate], example)
+                holds = self._positive_holds([candidate], example)
                 if self._constraints_only or base:
                     flags.append(not holds)  # flag = candidate *breaks* it
                 else:
                     flags.append(holds)  # flag = candidate covers it
             if self._constraints_only or base:
                 # already satisfied (or constraint-style): stay unbroken
-                models.append(_ExampleModel("needs_none", flags, base, example.weight))
+                models.append(_ExampleModel("needs_none", flags, base, weight))
             else:
                 bad_flags = self._bad_flags(space, example, flags)
-                models.append(
-                    _ExampleModel(
-                        "needs_one", flags, base, example.weight, bad_flags
-                    )
-                )
-        for example in self.task.negative:
-            base = self.task.negative_holds([], example)
+                models.append(_ExampleModel("needs_one", flags, base, weight, bad_flags))
+        for example, weight in self._distinct(self.task.negative):
+            base = self._negative_holds([], example)
             flags = []
             for candidate in space:
-                rejected = self.task.negative_holds([candidate], example)
+                rejected = self._negative_holds([candidate], example)
                 if self._constraints_only:
                     flags.append(rejected and not base)  # flag = candidate rejects it
                 else:
                     flags.append(not rejected)  # flag = candidate violates it
             if self._constraints_only:
-                models.append(_ExampleModel("needs_one", flags, base, example.weight))
+                models.append(_ExampleModel("needs_one", flags, base, weight))
             else:
-                models.append(_ExampleModel("needs_none", flags, base, example.weight))
+                models.append(_ExampleModel("needs_none", flags, base, weight))
         return models
 
     def _bad_flags(
@@ -152,7 +170,7 @@ class DecomposableLearner:
                 bad.append(False)
                 continue
             bad.append(
-                not self.task.positive_holds([witness, candidate], example)
+                not self._positive_holds([witness, candidate], example)
             )
         return bad
 
@@ -330,8 +348,11 @@ class DecomposableLearner:
                     "learner.lint_errors",
                     sum(1 for d in self.diagnostics if d.is_error),
                 )
-            result = self._learn()
-            sp.incr("learner.checks", result.checks)
+            self._checks = 0
+            try:
+                result = self._learn()
+            finally:
+                sp.incr("learner.checks", self._checks)
             sp.incr("learner.hypotheses_learned")
             sp.set(
                 cost=result.cost,
@@ -391,7 +412,7 @@ class DecomposableLearner:
             hypothesis,
             int(sum(c.cost for c in hypothesis)),
             violations,
-            checks=(len(space) + 1) * (len(self.task.positive) + len(self.task.negative)),
+            checks=self._checks,
             elapsed=time.monotonic() - start,
             space_size=len(space),
         )
@@ -399,12 +420,12 @@ class DecomposableLearner:
     def _verify(self, hypothesis: Sequence[CandidateRule]) -> Optional[int]:
         """Full-oracle violation count for the found hypothesis."""
         total = 0
-        for example in self.task.positive:
-            if not self.task.positive_holds(hypothesis, example):
-                total += example.weight
-        for example in self.task.negative:
-            if not self.task.negative_holds(hypothesis, example):
-                total += example.weight
+        for example, weight in self._distinct(self.task.positive):
+            if not self._positive_holds(hypothesis, example):
+                total += weight
+        for example, weight in self._distinct(self.task.negative):
+            if not self._negative_holds(hypothesis, example):
+                total += weight
         return total
 
 

@@ -51,7 +51,8 @@ class LearnedHypothesis:
 
     The statistics mirror what the ILASP system prints per run:
 
-    * ``checks`` — coverage-oracle calls actually executed (cache misses);
+    * ``checks`` — calls the learner made into the task's coverage oracle
+      (for the exact learner, those its own memo did not answer);
     * ``memo_hits`` — oracle calls answered from the memo table;
     * ``space_size`` — hypothesis-space size after monotonicity
       prefiltering (the candidates the search really explored);
@@ -130,7 +131,9 @@ class ILASPLearner:
         self.max_violations = max_violations
         self.budget = budget
         self.degrade_on_exhaustion = degrade_on_exhaustion
-        self._memo: Dict[Tuple[FrozenSet[tuple], int, bool], bool] = {}
+        # per-example verdicts of this search, for its checks/memo_hits
+        # statistics; candidates hash once, so a hypothesis key is cheap
+        self._memo: Dict[Tuple[FrozenSet[CandidateRule], int, bool], bool] = {}
         self._checks = 0
         self._memo_hits = 0
         self._iterations = 0
@@ -143,11 +146,8 @@ class ILASPLearner:
 
     # -- oracle with memoization ------------------------------------------
 
-    def _key(self, hypothesis: Sequence[CandidateRule]) -> FrozenSet[tuple]:
-        return frozenset(c.key() for c in hypothesis)
-
     def _positive_ok(self, hypothesis: Sequence[CandidateRule], index: int) -> bool:
-        key = (self._key(hypothesis), index, True)
+        key = (frozenset(hypothesis), index, True)
         cached = self._memo.get(key)
         if cached is None:
             self._bump()
@@ -158,7 +158,7 @@ class ILASPLearner:
         return cached
 
     def _negative_ok(self, hypothesis: Sequence[CandidateRule], index: int) -> bool:
-        key = (self._key(hypothesis), index, False)
+        key = (frozenset(hypothesis), index, False)
         cached = self._memo.get(key)
         if cached is None:
             self._bump()

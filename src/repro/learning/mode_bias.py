@@ -110,9 +110,15 @@ class ModeAtom:
 
 
 class CandidateRule:
-    """A hypothesis-space element: a rule, where it may attach, and its cost."""
+    """A hypothesis-space element: a rule, where it may attach, and its cost.
 
-    __slots__ = ("rule", "prod_id", "cost")
+    Identity is the ``(rule, prod_id)`` pair, compared structurally; the
+    hash is computed once, here, so hypotheses hash cheaply as frozensets
+    of candidates.  ``cost`` is not part of the identity (callers may
+    re-weight candidates after generation).
+    """
+
+    __slots__ = ("rule", "prod_id", "cost", "_hash")
 
     def __init__(self, rule: Rule, prod_id: Optional[int] = None, cost: Optional[int] = None):
         self.rule = rule
@@ -121,19 +127,25 @@ class CandidateRule:
             cost = len(rule.body) + (0 if getattr(rule, "head", None) is None else 1)
             cost = max(cost, 1)
         self.cost = cost
+        self._hash = hash((rule, prod_id))
 
     def key(self) -> tuple:
-        return (repr(self.rule), self.prod_id)
+        return (self.rule, self.prod_id)
 
     def __repr__(self) -> str:
         target = f" @prod{self.prod_id}" if self.prod_id is not None else ""
         return f"<{self.rule!r}{target} cost={self.cost}>"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CandidateRule) and self.key() == other.key()
+        return (
+            isinstance(other, CandidateRule)
+            and self._hash == other._hash
+            and self.prod_id == other.prod_id
+            and self.rule == other.rule
+        )
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
 
 class ModeBias:

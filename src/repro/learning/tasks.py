@@ -13,78 +13,87 @@ Two task families, both with *context-dependent* examples:
 
 Both expose the same oracle interface (``positive_holds`` /
 ``negative_holds``) consumed by :mod:`repro.learning.ilasp`.
+
+The coverage oracle
+-------------------
+
+Following the meta-level encoding of the ILASP system, every candidate
+``i`` of the hypothesis space is guarded by an external atom
+``__use(i)`` appended to its body.  Each distinct example is compiled
+once per task into ground programs holding *all* guarded candidates:
+
+* an LAS example into ``B ∪ C ∪ {r_i :- body_i, __use(i)}`` plus the
+  example as constraints (``:- not a.`` per included atom, ``:- b.``
+  per excluded atom), so coverage is satisfiability;
+* an ASG example into ``G(C)[PT]`` for each parse tree ``PT`` of its
+  string (one Earley call), with every candidate re-rooted at each node
+  of its production and then guarded.
+
+A check ``positive_holds(H, e)`` solves the compiled programs for one
+model with exactly the guards of ``H`` assumed true.  Guards that occur
+in no ground rule of the example cannot change its verdict, so the one
+memo is keyed by the relevant guards and the compiled example.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.asp.atoms import Atom
+from repro.asp.atoms import Atom, Literal
+from repro.asp.grounder import ground_program
 from repro.asp.parser import parse_program
-from repro.asp.rules import Program, Rule
-from repro.asp.solver import solve
-from repro.asg.annotated import ASG
-from repro.asg.semantics import accepts
+from repro.asp.rules import ChoiceRule, NormalRule, Program, Rule, WeakConstraint
+from repro.asp.solver import AnswerSetSolver
+from repro.asp.terms import Integer
+from repro.asg.annotated import ASG, validate_annotation
+from repro.asg.semantics import reroot_rule
+from repro.errors import GrammarError, LearningError
 from repro.grammar.cfg import SymbolString
+from repro.grammar.earley import parse_trees
+from repro.grammar.parse_tree import ParseTree
 from repro.learning.mode_bias import CandidateRule
+from repro.runtime.budget import spend
 
 __all__ = ["ContextExample", "ASGLearningTask", "PartialInterpretation", "LASTask"]
 
-
-class ContextExample:
-    """An example ``<s, C>``: a policy string under an ASP context program."""
-
-    __slots__ = ("tokens", "context", "name", "weight")
-
-    def __init__(
-        self,
-        tokens: Sequence[str],
-        context: Optional[Program] = None,
-        name: str = "",
-        weight: int = 1,
-    ):
-        self.tokens: SymbolString = tuple(tokens)
-        self.context = context if context is not None else Program()
-        self.name = name or " ".join(self.tokens)
-        self.weight = weight
-
-    @classmethod
-    def from_text(cls, string: str, context_text: str = "", **kw) -> "ContextExample":
-        """Build from a space-separated policy string and ASP context text."""
-        context = parse_program(context_text) if context_text else Program()
-        return cls(tuple(string.split()), context, **kw)
-
-    def key(self) -> tuple:
-        """Content identity (used for oracle memoization)."""
-        return (self.tokens, tuple(sorted(repr(r) for r in self.context)))
-
-    def __repr__(self) -> str:
-        ctx = f" | {len(self.context.rules)} ctx rules" if len(self.context) else ""
-        return f"<{' '.join(self.tokens)}{ctx}>"
+_GUARD = "__use"
 
 
-class ASGLearningTask:
-    """A context-dependent ASG learning task ``<G, S_M, E+, E->`` (Definition 3)."""
+def _guarded(rule: Rule, guard: Literal) -> Rule:
+    """``rule`` with ``guard`` appended to its body."""
+    body = rule.body + (guard,)
+    if isinstance(rule, NormalRule):
+        return NormalRule(rule.head, body)
+    if isinstance(rule, ChoiceRule):
+        return ChoiceRule(rule.elements, body, rule.lower, rule.upper)
+    return WeakConstraint(body, rule.weight, rule.priority)
 
-    def __init__(
-        self,
-        initial: ASG,
-        hypothesis_space: Sequence[CandidateRule],
-        positive: Sequence[ContextExample],
-        negative: Sequence[ContextExample],
-        context_placement: str = "all",
-        max_trees: int = 256,
-        use_fast_path: bool = True,
-    ):
-        self.initial = initial
+
+class _CompiledExample:
+    """One example compiled for one task: a solver per ground program
+    (one per parse tree for ASG examples) and the guard indices that
+    occur in them."""
+
+    __slots__ = ("solvers", "relevant")
+
+    def __init__(self, solvers: List[AnswerSetSolver], relevant: FrozenSet[int]):
+        self.solvers = solvers
+        self.relevant = relevant
+
+
+class _GuardedOracle:
+    """The coverage oracle shared by both task kinds (see the module
+    docstring): guard table, compiled examples and the one memo."""
+
+    def __init__(self, hypothesis_space: Sequence[CandidateRule], use_fast_path: bool):
         self.hypothesis_space = list(hypothesis_space)
-        self.positive = list(positive)
-        self.negative = list(negative)
-        self.context_placement = context_placement
-        self.max_trees = max_trees
         self.use_fast_path = use_fast_path
-        self._grammar_cache: Dict[FrozenSet[tuple], ASG] = {}
-        self._oracle_cache: Dict[tuple, bool] = {}
+        self._guards: Dict[CandidateRule, int] = {}
+        for candidate in self.hypothesis_space:
+            self._guards.setdefault(candidate, len(self._guards))
+        self._guard_atoms = [Atom(_GUARD, [Integer(i)]) for i in range(len(self._guards))]
+        self._compiled: Dict[object, _CompiledExample] = {}
+        self._memo: Dict[Tuple[FrozenSet[int], _CompiledExample], bool] = {}
 
     def constraints_only(self) -> bool:
         """True iff every candidate is an integrity constraint.
@@ -97,42 +106,194 @@ class ASGLearningTask:
             for c in self.hypothesis_space
         )
 
-    def _grammar(self, hypothesis: Sequence[CandidateRule]) -> ASG:
-        key = frozenset(c.key() for c in hypothesis)
-        cached = self._grammar_cache.get(key)
-        if cached is None:
-            cached = self.initial.with_rules(
-                [(c.rule, c.prod_id if c.prod_id is not None else 0) for c in hypothesis]
+    def _guarded_candidates(self) -> Iterable[Tuple[CandidateRule, Literal]]:
+        """``(candidate, guard literal)`` per distinct candidate."""
+        for candidate, index in self._guards.items():
+            yield candidate, Literal(self._guard_atoms[index], True)
+
+    def _check(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+        spend()  # every oracle check ticks the ambient budget
+        compiled = self._compiled.get(example)
+        if compiled is None:  # each task kind defines _compile
+            compiled = self._compiled[example] = self._compile(example)
+        relevant = compiled.relevant
+        try:
+            guards = frozenset(
+                index
+                for index in map(self._guards.__getitem__, hypothesis)
+                if index in relevant
             )
-            self._grammar_cache[key] = cached
-        return cached
+        except KeyError as error:
+            raise LearningError(
+                f"candidate {error.args[0]!r} is not in the task's hypothesis space"
+            ) from None
+        key = (guards, compiled)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            assumptions = [self._guard_atoms[index] for index in guards]
+            verdict = any(
+                solver.solve(max_models=1, assumptions=assumptions)
+                for solver in compiled.solvers
+            )
+            self._memo[key] = verdict
+        return verdict
+
+    def _solvers(self, programs: Iterable[Program]) -> _CompiledExample:
+        """Ground and load each program with every guard as an external."""
+        solvers: List[AnswerSetSolver] = []
+        used: set = set()
+        for program in programs:
+            ground = ground_program(program, externals=self._guard_atoms)
+            solver = AnswerSetSolver(ground, use_fast_path=self.use_fast_path)
+            solvers.append(solver)
+            used |= solver.used_externals
+        relevant = frozenset(
+            index for index, atom in enumerate(self._guard_atoms) if atom in used
+        )
+        return _CompiledExample(solvers, relevant)
+
+
+def _context_key(context: Program) -> FrozenSet[Rule]:
+    # rule order and repetition do not change a program's answer sets
+    return frozenset(context)
+
+
+class ContextExample:
+    """An example ``<s, C>``: a policy string under an ASP context program.
+
+    Examples are values: two examples with the same string and the same
+    context rules are equal (name and weight aside), so a task compiles
+    them once.  Do not mutate one after construction.
+    """
+
+    __slots__ = ("tokens", "context", "name", "weight", "_key", "_hash")
+
+    def __init__(
+        self,
+        tokens: Sequence[str],
+        context: Optional[Program] = None,
+        name: str = "",
+        weight: int = 1,
+    ):
+        self.tokens: SymbolString = tuple(tokens)
+        self.context = context if context is not None else Program()
+        self.name = name or " ".join(self.tokens)
+        self.weight = weight
+        self._key = (self.tokens, _context_key(self.context))
+        self._hash = hash(self._key)
+
+    @classmethod
+    def from_text(cls, string: str, context_text: str = "", **kw) -> "ContextExample":
+        """Build from a space-separated policy string and ASP context text."""
+        context = parse_program(context_text) if context_text else Program()
+        return cls(tuple(string.split()), context, **kw)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ContextExample) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        ctx = f" | {len(self.context.rules)} ctx rules" if len(self.context) else ""
+        return f"<{' '.join(self.tokens)}{ctx}>"
+
+
+class ASGLearningTask(_GuardedOracle):
+    """A context-dependent ASG learning task ``<G, S_M, E+, E->`` (Definition 3)."""
+
+    def __init__(
+        self,
+        initial: ASG,
+        hypothesis_space: Sequence[CandidateRule],
+        positive: Sequence[ContextExample],
+        negative: Sequence[ContextExample],
+        context_placement: str = "all",
+        max_trees: int = 256,
+        use_fast_path: bool = True,
+    ):
+        if context_placement not in ("all", "start"):
+            raise ValueError("context_placement must be 'all' or 'start'")
+        super().__init__(hypothesis_space, use_fast_path)
+        self.initial = initial
+        self.positive = list(positive)
+        self.negative = list(negative)
+        self.context_placement = context_placement
+        self.max_trees = max_trees
+        # production id -> [(rule, guard)], validated on first compile
+        self._attached: Optional[Dict[int, List[Tuple[Rule, Literal]]]] = None
 
     def positive_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
         """Check condition 1 of Definition 3: ``s ∈ L(G(C) : H)``."""
-        key = (frozenset(c.key() for c in hypothesis), example.key())
-        cached = self._oracle_cache.get(key)
-        if cached is None:
-            grammar = self._grammar(hypothesis).with_context(
-                example.context, where=self.context_placement
-            )
-            cached = accepts(
-                grammar,
-                example.tokens,
-                max_trees=self.max_trees,
-                use_fast_path=self.use_fast_path,
-            )
-            self._oracle_cache[key] = cached
-        return cached
+        return self._check(hypothesis, example)
 
     def negative_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
         """Check condition 2 of Definition 3: ``s ∉ L(G(C) : H)``."""
         return not self.positive_holds(hypothesis, example)
 
+    def _attachments(self) -> Dict[int, List[Tuple[Rule, Literal]]]:
+        """Candidates and their guards per production, checked as ``G : H`` would."""
+        if self._attached is None:
+            cfg = self.initial.cfg
+            attached: Dict[int, List[Tuple[Rule, Literal]]] = {}
+            for candidate, guard in self._guarded_candidates():
+                prod_id = candidate.prod_id if candidate.prod_id is not None else 0
+                if not (0 <= prod_id < len(cfg.productions)):
+                    raise GrammarError(f"no production with id {prod_id}")
+                self._validate(prod_id, [candidate.rule])
+                attached.setdefault(prod_id, []).append((candidate.rule, guard))
+            self._attached = attached
+        return self._attached
+
+    def _validate(self, prod_id: int, rules: Sequence[Rule]) -> None:
+        if self.initial.strict:
+            validate_annotation(self.initial.cfg.production(prod_id), Program(rules))
+
+    def _compile(self, example: ContextExample) -> _CompiledExample:
+        attached = self._attachments()
+        cfg = self.initial.cfg
+        if self.context_placement == "all":
+            targets = {p.prod_id for p in cfg.productions}
+        else:
+            targets = {p.prod_id for p in cfg.productions_for(cfg.start)}
+        context = list(example.context)
+        for prod_id in targets:
+            self._validate(prod_id, context)
+        trees = parse_trees(cfg, example.tokens, max_trees=self.max_trees)
+        return self._solvers(
+            self._tree_program(tree, context, targets, attached) for tree in trees
+        )
+
+    def _tree_program(
+        self,
+        tree: ParseTree,
+        context: Sequence[Rule],
+        targets: set,
+        attached: Dict[int, List[Tuple[Rule, Literal]]],
+    ) -> Program:
+        """``G(C)[PT]`` plus every guarded candidate at each node of its production."""
+        program = Program()
+        for node, trace in tree.interior_nodes():
+            prod_id = node.production.prod_id
+            for rule in self.initial.annotation(prod_id):
+                program.add(reroot_rule(rule, trace))
+            if prod_id in targets:
+                for rule in context:
+                    program.add(reroot_rule(rule, trace))
+            for rule, guard in attached.get(prod_id, ()):
+                program.add(_guarded(reroot_rule(rule, trace), guard))
+        return program
+
 
 class PartialInterpretation:
-    """An ILASP example: atoms to include/exclude, under a context program."""
+    """An ILASP example: atoms to include/exclude, under a context program.
 
-    __slots__ = ("inclusions", "exclusions", "context", "name", "weight")
+    Examples are values: equal inclusions, exclusions and context rules
+    make equal examples (name and weight aside), so a task compiles them
+    once.  Do not mutate one after construction.
+    """
+
+    __slots__ = ("inclusions", "exclusions", "context", "name", "weight", "_key", "_hash")
 
     def __init__(
         self,
@@ -147,17 +308,17 @@ class PartialInterpretation:
         self.context = context if context is not None else Program()
         self.name = name
         self.weight = weight
+        self._key = (self.inclusions, self.exclusions, _context_key(self.context))
+        self._hash = hash(self._key)
 
     def covered_by(self, answer_set: FrozenSet[Atom]) -> bool:
         return self.inclusions <= answer_set and not (self.exclusions & answer_set)
 
-    def key(self) -> tuple:
-        """Content identity (used for oracle memoization)."""
-        return (
-            tuple(sorted(map(repr, self.inclusions))),
-            tuple(sorted(map(repr, self.exclusions))),
-            tuple(sorted(repr(r) for r in self.context)),
-        )
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PartialInterpretation) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         inc = ", ".join(sorted(map(str, self.inclusions)))
@@ -165,7 +326,7 @@ class PartialInterpretation:
         return f"<inc: {{{inc}}} exc: {{{exc}}}>"
 
 
-class LASTask:
+class LASTask(_GuardedOracle):
     """A Learning-from-Answer-Sets task ``<B, S_M, E+, E->``."""
 
     def __init__(
@@ -174,51 +335,32 @@ class LASTask:
         hypothesis_space: Sequence[CandidateRule],
         positive: Sequence[PartialInterpretation],
         negative: Sequence[PartialInterpretation],
-        max_models: int = 64,
         use_fast_path: bool = True,
     ):
+        super().__init__(hypothesis_space, use_fast_path)
         self.background = background
-        self.hypothesis_space = list(hypothesis_space)
         self.positive = list(positive)
         self.negative = list(negative)
-        self.max_models = max_models
-        self.use_fast_path = use_fast_path
-        self._oracle_cache: Dict[tuple, bool] = {}
-
-    def constraints_only(self) -> bool:
-        return all(
-            getattr(c.rule, "head", None) is None and not hasattr(c.rule, "elements")
-            for c in self.hypothesis_space
-        )
-
-    def _program(self, hypothesis: Sequence[CandidateRule], context: Program) -> Program:
-        program = Program(list(self.background))
-        program.extend(context)
-        for candidate in hypothesis:
-            program.add(candidate.rule)
-        return program
 
     def positive_holds(
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation
     ) -> bool:
         """Some answer set of ``B ∪ H ∪ C`` covers the partial interpretation."""
-        key = (frozenset(c.key() for c in hypothesis), example.key())
-        cached = self._oracle_cache.get(key)
-        if cached is not None:
-            return cached
-        program = self._program(hypothesis, example.context)
-        result = False
-        for model in solve(
-            program, max_models=self.max_models, use_fast_path=self.use_fast_path
-        ):
-            if example.covered_by(model):
-                result = True
-                break
-        self._oracle_cache[key] = result
-        return result
+        return self._check(hypothesis, example)
 
     def negative_holds(
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation
     ) -> bool:
         """No answer set of ``B ∪ H ∪ C`` covers the partial interpretation."""
         return not self.positive_holds(hypothesis, example)
+
+    def _compile(self, example: PartialInterpretation) -> _CompiledExample:
+        program = Program(list(self.background))
+        program.extend(example.context)
+        for candidate, guard in self._guarded_candidates():
+            program.add(_guarded(candidate.rule, guard))
+        for atom in example.inclusions:
+            program.add(NormalRule(None, [Literal(atom, False)]))
+        for atom in example.exclusions:
+            program.add(NormalRule(None, [Literal(atom, True)]))
+        return self._solvers([program])

@@ -104,20 +104,25 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
 def summarize(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold span records into a per-operation latency + counter report.
 
-    Returns ``{"operations": {name: {count, errors, total, p50, p95,
-    max}}, "counters": {name: total}, "observations": {...}}`` with all
-    latencies in seconds.
+    Returns ``{"operations": {name: {count, errors, unsat, total, p50,
+    p95, max}}, "counters": {name: total}, "observations": {...}}`` with
+    all latencies in seconds.  ``unsat`` counts spans ended by an
+    expected "no solution" verdict; they are not errors.
     """
     by_name: Dict[str, List[float]] = {}
     errors: Dict[str, int] = {}
+    unsat: Dict[str, int] = {}
     counters: Dict[str, int] = {}
     observations: Dict[str, Dict[str, float]] = {}
     child_counted = 0
     for record in spans:
         name = record.get("name", "?")
         by_name.setdefault(name, []).append(float(record.get("duration", 0.0)))
-        if record.get("status") == "error":
+        status = record.get("status")
+        if status == "error":
             errors[name] = errors.get(name, 0) + 1
+        elif status == "unsat":
+            unsat[name] = unsat.get(name, 0) + 1
         # Root spans already aggregate their subtree's counters; only
         # fold in roots so one event is not counted once per ancestor.
         if record.get("parent_id") is None:
@@ -140,6 +145,7 @@ def summarize(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         operations[name] = {
             "count": len(durations),
             "errors": errors.get(name, 0),
+            "unsat": unsat.get(name, 0),
             "total": sum(durations),
             "p50": _percentile(durations, 0.50),
             "p95": _percentile(durations, 0.95),
@@ -158,12 +164,13 @@ def format_summary(summary: Dict[str, Any], title: str = "telemetry summary") ->
     operations = summary.get("operations", {})
     if operations:
         lines.append(
-            f"{'operation':<28} {'count':>7} {'errors':>6} "
+            f"{'operation':<28} {'count':>7} {'errors':>6} {'unsat':>6} "
             f"{'p50 ms':>9} {'p95 ms':>9} {'max ms':>9} {'total s':>9}"
         )
         for name, row in operations.items():
             lines.append(
                 f"{name:<28} {row['count']:>7} {row['errors']:>6} "
+                f"{row.get('unsat', 0):>6} "
                 f"{row['p50'] * 1e3:>9.3f} {row['p95'] * 1e3:>9.3f} "
                 f"{row['max'] * 1e3:>9.3f} {row['total']:>9.3f}"
             )

@@ -229,7 +229,9 @@ class _SpanHandle:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         if exc_type is not None:
-            self._span.status = "error"
+            # an exception class may name its own status (``unsat`` for an
+            # expected "no solution" verdict); anything else is an error
+            self._span.status = getattr(exc_type, "span_status", "error")
             self._span.error = f"{exc_type.__name__}: {exc}"
         self._tracer._pop(self._span)
         return False

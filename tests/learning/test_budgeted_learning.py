@@ -35,6 +35,14 @@ def make_task():
     )
 
 
+def too_small_budget():
+    """Half the steps a complete run of ``make_task`` takes."""
+    measured = Budget()
+    learn(make_task(), budget=measured)
+    assert measured.steps_used > 2
+    return Budget(max_steps=measured.steps_used // 2)
+
+
 def test_unbudgeted_learning_is_not_degraded():
     result = learn(make_task())
     assert not result.degraded
@@ -42,7 +50,7 @@ def test_unbudgeted_learning_is_not_degraded():
 
 
 def test_exhausted_budget_returns_degraded_best_so_far():
-    result = learn(make_task(), budget=Budget(max_steps=500))
+    result = learn(make_task(), budget=too_small_budget())
     assert result.degraded
     # a usable (possibly imperfect) hypothesis, not an exception
     assert result.cost >= 0
@@ -51,7 +59,7 @@ def test_exhausted_budget_returns_degraded_best_so_far():
 
 def test_degradation_can_be_disabled():
     with pytest.raises(BudgetExceededError):
-        learn(make_task(), budget=Budget(max_steps=500), degrade_on_exhaustion=False)
+        learn(make_task(), budget=too_small_budget(), degrade_on_exhaustion=False)
 
 
 def test_generous_budget_matches_unbudgeted_result():
