@@ -74,7 +74,11 @@ __all__ = [
 
 
 class GroundStats:
-    """Per-run grounding statistics (semi-naive bottom-up telemetry).
+    """Per-run grounding statistics.
+
+    The grounder computes the possible atoms by an indexed *naive*
+    fixpoint (every rule is re-run on every pass until no atom is new),
+    then instantiates each rule once against the final atom set.
 
     * ``fixpoint_iterations`` — passes of the possible-atom fixpoint;
     * ``substitutions`` — substitutions enumerated across both phases;

@@ -74,10 +74,15 @@ def learn_gpm(
     previously learned one), so stale rules are dropped rather than
     accumulated — re-learning with a grown example set subsumes the old
     hypothesis, exactly as in the paper's workflow where the learned ASG
-    replaces the model.
+    replaces the model.  Every version of a model carries the coverage
+    oracle of its last learning task (``model.lineage``), so an example
+    that an earlier pass already compiled is not compiled again.
     """
     positive, negative = _split(examples)
-    task = ASGLearningTask(model.initial, hypothesis_space, positive, negative)
+    task = ASGLearningTask(
+        model.initial, hypothesis_space, positive, negative, oracle=model.lineage.oracle
+    )
+    model.lineage.oracle = task.oracle
     result = learn_auto(
         task,
         max_violations=max_violations,

@@ -139,7 +139,8 @@ class _TreeExtractor:
         for prod in self.grammar.productions_for(symbol):
             for children in self._match_rhs(prod.rhs, 0, start, end):
                 out.append(ParseTree(symbol, prod, children))
-                if len(out) >= self.max_trees:
+                # one tree past the cap tells a full forest from a cut one
+                if len(out) > self.max_trees:
                     capped = True
                     break
             if capped:
@@ -150,6 +151,7 @@ class _TreeExtractor:
             # trust the memo as exhaustive, but the capped list is a
             # valid sample of the forest
             self.truncated = True
+            del out[self.max_trees :]
         self._memo[key] = out
         return out
 

@@ -20,7 +20,7 @@ The coverage oracle
 Following the meta-level encoding of the ILASP system, every candidate
 ``i`` of the hypothesis space is guarded by an external atom
 ``__use(i)`` appended to its body.  Each distinct example is compiled
-once per task into ground programs holding *all* guarded candidates:
+once per oracle into ground programs holding *all* guarded candidates:
 
 * an LAS example into ``B ∪ C ∪ {r_i :- body_i, __use(i)}`` plus the
   example as constraints (``:- not a.`` per included atom, ``:- b.``
@@ -31,8 +31,17 @@ once per task into ground programs holding *all* guarded candidates:
 
 A check ``positive_holds(H, e)`` solves the compiled programs for one
 model with exactly the guards of ``H`` assumed true.  Guards that occur
-in no ground rule of the example cannot change its verdict, so the one
-memo is keyed by the relevant guards and the compiled example.
+in no ground rule of the example cannot change its verdict, so each
+compiled example memoises its verdicts keyed by the relevant guards.
+
+The oracle (guard table, guarded candidates, compiled examples) is
+separate from the examples it checks.  A :class:`LASTask` is its own
+oracle.  An :class:`ASGLearningTask` holds one and can be built over the
+``oracle`` of an earlier task of the same lineage (same ``initial``
+object, equal hypothesis space, same ``context_placement``,
+``max_trees`` and ``use_fast_path``), so re-learning over a grown
+example set compiles only the new examples.  Building a task over an
+oracle drops the compiled examples that are not in the task.
 """
 
 from __future__ import annotations
@@ -70,20 +79,23 @@ def _guarded(rule: Rule, guard: Literal) -> Rule:
 
 
 class _CompiledExample:
-    """One example compiled for one task: a solver per ground program
-    (one per parse tree for ASG examples) and the guard indices that
-    occur in them."""
+    """One example compiled by one oracle: a solver per ground program
+    (one per parse tree for ASG examples), the guard indices that occur
+    in them, and the verdicts found so far keyed by the relevant guards
+    of the hypothesis."""
 
-    __slots__ = ("solvers", "relevant")
+    __slots__ = ("solvers", "relevant", "verdicts")
 
     def __init__(self, solvers: List[AnswerSetSolver], relevant: FrozenSet[int]):
         self.solvers = solvers
         self.relevant = relevant
+        self.verdicts: Dict[FrozenSet[int], bool] = {}
 
 
 class _GuardedOracle:
-    """The coverage oracle shared by both task kinds (see the module
-    docstring): guard table, compiled examples and the one memo."""
+    """The coverage oracle of both task kinds (see the module docstring):
+    guard table, compiled examples and their verdicts.  Subclasses define
+    ``_compile``."""
 
     def __init__(self, hypothesis_space: Sequence[CandidateRule], use_fast_path: bool):
         self.hypothesis_space = list(hypothesis_space)
@@ -93,7 +105,6 @@ class _GuardedOracle:
             self._guards.setdefault(candidate, len(self._guards))
         self._guard_atoms = [Atom(_GUARD, [Integer(i)]) for i in range(len(self._guards))]
         self._compiled: Dict[object, _CompiledExample] = {}
-        self._memo: Dict[Tuple[FrozenSet[int], _CompiledExample], bool] = {}
 
     def constraints_only(self) -> bool:
         """True iff every candidate is an integrity constraint.
@@ -114,7 +125,7 @@ class _GuardedOracle:
     def _check(self, hypothesis: Sequence[CandidateRule], example) -> bool:
         spend()  # every oracle check ticks the ambient budget
         compiled = self._compiled.get(example)
-        if compiled is None:  # each task kind defines _compile
+        if compiled is None:  # each oracle kind defines _compile
             compiled = self._compiled[example] = self._compile(example)
         relevant = compiled.relevant
         try:
@@ -127,15 +138,14 @@ class _GuardedOracle:
             raise LearningError(
                 f"candidate {error.args[0]!r} is not in the task's hypothesis space"
             ) from None
-        key = (guards, compiled)
-        verdict = self._memo.get(key)
-        if verdict is None:
+        verdict = compiled.verdicts.get(guards)
+        if verdict is None:  # a check that raises stores nothing
             assumptions = [self._guard_atoms[index] for index in guards]
             verdict = any(
                 solver.solve(max_models=1, assumptions=assumptions)
                 for solver in compiled.solvers
             )
-            self._memo[key] = verdict
+            compiled.verdicts[guards] = verdict
         return verdict
 
     def _solvers(self, programs: Iterable[Program]) -> _CompiledExample:
@@ -199,37 +209,39 @@ class ContextExample:
         return f"<{' '.join(self.tokens)}{ctx}>"
 
 
-class ASGLearningTask(_GuardedOracle):
-    """A context-dependent ASG learning task ``<G, S_M, E+, E->`` (Definition 3)."""
+class _ASGOracle(_GuardedOracle):
+    """The coverage oracle of one ASG lineage (see the module docstring)."""
 
     def __init__(
         self,
         initial: ASG,
         hypothesis_space: Sequence[CandidateRule],
-        positive: Sequence[ContextExample],
-        negative: Sequence[ContextExample],
-        context_placement: str = "all",
-        max_trees: int = 256,
-        use_fast_path: bool = True,
+        context_placement: str,
+        max_trees: int,
+        use_fast_path: bool,
     ):
-        if context_placement not in ("all", "start"):
-            raise ValueError("context_placement must be 'all' or 'start'")
         super().__init__(hypothesis_space, use_fast_path)
         self.initial = initial
-        self.positive = list(positive)
-        self.negative = list(negative)
         self.context_placement = context_placement
         self.max_trees = max_trees
         # production id -> [(rule, guard)], validated on first compile
         self._attached: Optional[Dict[int, List[Tuple[Rule, Literal]]]] = None
 
-    def positive_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
-        """Check condition 1 of Definition 3: ``s ∈ L(G(C) : H)``."""
-        return self._check(hypothesis, example)
+    def serves(self, task: "ASGLearningTask") -> bool:
+        """Does ``task`` belong to this oracle's lineage?"""
+        return (
+            self.initial is task.initial
+            and self.context_placement == task.context_placement
+            and self.max_trees == task.max_trees
+            and self.use_fast_path == task.use_fast_path
+            and self.hypothesis_space == task.hypothesis_space
+        )
 
-    def negative_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
-        """Check condition 2 of Definition 3: ``s ∉ L(G(C) : H)``."""
-        return not self.positive_holds(hypothesis, example)
+    def retain(self, examples: Iterable[ContextExample]) -> None:
+        """Drop the compiled examples that are not in ``examples``."""
+        keep = set(examples)
+        for example in [e for e in self._compiled if e not in keep]:
+            del self._compiled[example]
 
     def _attachments(self) -> Dict[int, List[Tuple[Rule, Literal]]]:
         """Candidates and their guards per production, checked as ``G : H`` would."""
@@ -259,7 +271,8 @@ class ASGLearningTask(_GuardedOracle):
         context = list(example.context)
         for prod_id in targets:
             self._validate(prod_id, context)
-        trees = parse_trees(cfg, example.tokens, max_trees=self.max_trees)
+        # strict: a truncated forest could hide the only accepting tree
+        trees = parse_trees(cfg, example.tokens, max_trees=self.max_trees, strict=True)
         return self._solvers(
             self._tree_program(tree, context, targets, attached) for tree in trees
         )
@@ -283,6 +296,61 @@ class ASGLearningTask(_GuardedOracle):
             for rule, guard in attached.get(prod_id, ()):
                 program.add(_guarded(reroot_rule(rule, trace), guard))
         return program
+
+
+class ASGLearningTask:
+    """A context-dependent ASG learning task ``<G, S_M, E+, E->`` (Definition 3).
+
+    ``oracle`` is the :attr:`oracle` of an earlier task to build this one
+    over.  It is used when that task had the same lineage (see the module
+    docstring) and replaced by a fresh oracle otherwise.  An example with
+    more than ``max_trees`` parse trees raises :class:`AmbiguityLimitError`
+    when it is checked.
+    """
+
+    def __init__(
+        self,
+        initial: ASG,
+        hypothesis_space: Sequence[CandidateRule],
+        positive: Sequence[ContextExample],
+        negative: Sequence[ContextExample],
+        context_placement: str = "all",
+        max_trees: int = 256,
+        use_fast_path: bool = True,
+        oracle: Optional[_ASGOracle] = None,
+    ):
+        if context_placement not in ("all", "start"):
+            raise ValueError("context_placement must be 'all' or 'start'")
+        self.initial = initial
+        self.hypothesis_space = list(hypothesis_space)
+        self.positive = list(positive)
+        self.negative = list(negative)
+        self.context_placement = context_placement
+        self.max_trees = max_trees
+        self.use_fast_path = use_fast_path
+        if oracle is not None and oracle.serves(self):
+            oracle.retain(self.positive + self.negative)
+        else:
+            oracle = _ASGOracle(
+                initial,
+                self.hypothesis_space,
+                context_placement,
+                max_trees,
+                use_fast_path,
+            )
+        self.oracle = oracle
+
+    def constraints_only(self) -> bool:
+        """True iff every candidate is an integrity constraint."""
+        return self.oracle.constraints_only()
+
+    def positive_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
+        """Check condition 1 of Definition 3: ``s ∈ L(G(C) : H)``."""
+        return self.oracle._check(hypothesis, example)
+
+    def negative_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
+        """Check condition 2 of Definition 3: ``s ∉ L(G(C) : H)``."""
+        return not self.positive_holds(hypothesis, example)
 
 
 class PartialInterpretation:
@@ -341,6 +409,10 @@ class LASTask(_GuardedOracle):
         self.background = background
         self.positive = list(positive)
         self.negative = list(negative)
+        self._guarded_rules = [
+            _guarded(candidate.rule, guard)
+            for candidate, guard in self._guarded_candidates()
+        ]
 
     def positive_holds(
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation
@@ -357,8 +429,7 @@ class LASTask(_GuardedOracle):
     def _compile(self, example: PartialInterpretation) -> _CompiledExample:
         program = Program(list(self.background))
         program.extend(example.context)
-        for candidate, guard in self._guarded_candidates():
-            program.add(_guarded(candidate.rule, guard))
+        program.extend(self._guarded_rules)
         for atom in example.inclusions:
             program.add(NormalRule(None, [Literal(atom, False)]))
         for atom in example.exclusions:

@@ -82,6 +82,12 @@ class TestTreeExtraction:
         with pytest.raises(AmbiguityLimitError):
             parse_trees(AMBIG, tokens, max_trees=3, strict=True)
 
+    def test_strict_limit_admits_a_forest_of_exactly_max_trees(self):
+        tokens = ("x", "+") * 3 + ("x",)  # Catalan(3) = 5 trees
+        assert len(parse_trees(AMBIG, tokens, max_trees=5, strict=True)) == 5
+        with pytest.raises(AmbiguityLimitError):
+            parse_trees(AMBIG, tokens, max_trees=4, strict=True)
+
     def test_nonstrict_truncation(self):
         tokens = ("x", "+") * 5 + ("x",)
         trees = parse_trees(AMBIG, tokens, max_trees=3)

@@ -22,7 +22,7 @@ from repro.asp.rules import ChoiceRule, NormalRule, Program
 from repro.asp.solver import solve
 from repro.asp.terms import Constant, Integer
 from repro.datasets import default_ground_truth, inject_flips, sample_log
-from repro.errors import LearningError
+from repro.errors import AmbiguityLimitError, BudgetExceededError, LearningError
 from repro.learning import (
     ASGLearningTask,
     CandidateRule,
@@ -31,6 +31,7 @@ from repro.learning import (
     PartialInterpretation,
 )
 from repro.learning.tasks import _GuardedOracle
+from repro.runtime import Budget, budget_scope
 
 # -- the reference oracle ----------------------------------------------------
 
@@ -249,4 +250,40 @@ def test_irrelevant_candidates_share_the_base_verdict():
     assert task.positive_holds([space[0]], example)
     assert not task.positive_holds([space[1]], example)
     assert not task.positive_holds([], example)
-    assert len(task._memo) == 2
+    # two distinct verdicts memoised: {dba guard} and the empty guard set
+    (compiled,) = task._compiled.values()
+    assert len(compiled.verdicts) == 2
+
+
+def test_too_many_parse_trees_raise_instead_of_truncating():
+    # "a a a a" splits into t t three ways: (a)(a a a), (a a)(a a), (a a a)(a)
+    asg = parse_asg(
+        """
+        s -> t t { }
+        t -> "a" { }
+        t -> "a" "a" { }
+        t -> "a" "a" "a" { }
+        """
+    )
+    example = ContextExample(("a",) * 4)
+    task = ASGLearningTask(asg, [], [example], [], max_trees=2)
+    for __ in range(2):  # nothing was memoised, so the retry raises again
+        with pytest.raises(AmbiguityLimitError):
+            task.positive_holds([], example)
+        assert not task.oracle._compiled
+    task = ASGLearningTask(asg, [], [example], [], max_trees=3)
+    assert task.positive_holds([], example)
+
+
+def test_a_check_that_runs_out_of_budget_stores_no_verdict():
+    role = Literal(Atom("role", [Constant("dba")]))
+    dba = CandidateRule(NormalRule(Atom("x"), [role]))
+    example = PartialInterpretation([Atom("x")], context=parse_program("role(dba)."))
+    task = LASTask(Program(), [dba], [example], [])
+    assert not task.positive_holds([], example)  # compiles the example
+    (compiled,) = task._compiled.values()
+    with budget_scope(Budget(max_steps=1)):  # the check's own tick, then the solve's
+        with pytest.raises(BudgetExceededError):
+            task.positive_holds([dba], example)
+    assert len(compiled.verdicts) == 1
+    assert task.positive_holds([dba], example)
