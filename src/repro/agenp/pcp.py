@@ -8,7 +8,7 @@ policies shared by other AMSs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.asg_lint import lint_asg
 from repro.analysis.diagnostics import Diagnostic
@@ -52,14 +52,17 @@ class PolicyCheckingPoint:
     ):
         self.interpreter = interpreter
         self.schema = schema
-        self._known_violations: List[LabeledExample] = []
+        # (tokens, context) of every recorded negative example
+        self._known_violations: Set[Tuple[SymbolString, Context]] = set()
         # id(grammar) -> (grammar, diagnostics); the strong reference keeps
         # the id stable for the lifetime of the cache entry
         self._preflight_cache: Dict[int, Tuple[object, List[Diagnostic]]] = {}
 
     def record_violation(self, example: LabeledExample) -> None:
-        """Register a known-bad policy/context pair (negative example)."""
-        self._known_violations.append(example)
+        """Register a known-bad policy/context pair (negative example);
+        a positive example is ignored."""
+        if not example.valid:
+            self._known_violations.add((example.tokens, example.context))
 
     # -- static preflight ------------------------------------------------------
 
@@ -94,22 +97,22 @@ class PolicyCheckingPoint:
         effective grammar has *error*-severity static diagnostics
         (:meth:`preflight`; warnings and infos do not reject), (b) is
         not in the model's language for the context (non-conformance —
-        relevant for *shared* policies learned elsewhere), or (c)
-        matches a recorded negative example in an equal-or-weaker
-        context.
+        relevant for *shared* policies learned elsewhere; a membership
+        check that raises a :class:`ReproError` rejects the policy as
+        undecided), or (c) matches a recorded negative example in an
+        equal context.
         """
         reasons: List[str] = []
         for diagnostic in self.preflight(model):
             if diagnostic.is_error:
                 reasons.append(f"static analysis: {diagnostic.format()}")
-        if not model.valid(policy.tokens, context):
-            reasons.append("not in L(G(C)) for the local context")
-        for violation in self._known_violations:
-            if violation.valid:
-                continue
-            if violation.tokens == policy.tokens and violation.context == context:
-                reasons.append("matches a recorded negative example")
-                break
+        try:
+            if not model.valid(policy.tokens, context):
+                reasons.append("not in L(G(C)) for the local context")
+        except ReproError as error:
+            reasons.append(f"membership undecided: {error}")
+        if (policy.tokens, context) in self._known_violations:
+            reasons.append("matches a recorded negative example")
         if self.interpreter is not None:
             try:
                 self.interpreter(policy.tokens)

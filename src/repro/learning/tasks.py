@@ -29,10 +29,11 @@ once per oracle into ground programs holding *all* guarded candidates:
   string (one Earley call), with every candidate re-rooted at each node
   of its production and then guarded.
 
-A check ``positive_holds(H, e)`` solves the compiled programs for one
-model with exactly the guards of ``H`` assumed true.  Guards that occur
-in no ground rule of the example cannot change its verdict, so each
-compiled example memoises its verdicts keyed by the relevant guards.
+A check ``holds(H, e)`` solves the compiled programs for one model with
+exactly the guards of ``H`` assumed true.  Guards that occur in no
+ground rule of the example cannot change its verdict, so each compiled
+example memoises its verdicts keyed by the relevant guards; an example
+with no relevant guard keeps its first verdict and releases its solvers.
 
 The oracle (guard table, guarded candidates, compiled examples) is
 separate from the examples it checks.  A :class:`LASTask` is its own
@@ -40,8 +41,11 @@ oracle.  An :class:`ASGLearningTask` holds one and can be built over the
 ``oracle`` of an earlier task of the same lineage (same ``initial``
 object, equal hypothesis space, same ``context_placement``,
 ``max_trees`` and ``use_fast_path``), so re-learning over a grown
-example set compiles only the new examples.  Building a task over an
-oracle drops the compiled examples that are not in the task.
+example set compiles only the new examples.  The same oracle answers
+membership and generation for every version of a
+:class:`~repro.core.gpm.GenerativePolicyModel`.  Building a task over an
+oracle keeps the task's examples and those checked since the previous
+task was built, and drops the rest.
 """
 
 from __future__ import annotations
@@ -81,15 +85,16 @@ def _guarded(rule: Rule, guard: Literal) -> Rule:
 class _CompiledExample:
     """One example compiled by one oracle: a solver per ground program
     (one per parse tree for ASG examples), the guard indices that occur
-    in them, and the verdicts found so far keyed by the relevant guards
-    of the hypothesis."""
+    in them, the verdicts found so far keyed by the relevant guards of
+    the hypothesis, and the oracle generation of its last check."""
 
-    __slots__ = ("solvers", "relevant", "verdicts")
+    __slots__ = ("solvers", "relevant", "verdicts", "checked_in")
 
     def __init__(self, solvers: List[AnswerSetSolver], relevant: FrozenSet[int]):
         self.solvers = solvers
         self.relevant = relevant
         self.verdicts: Dict[FrozenSet[int], bool] = {}
+        self.checked_in = 0
 
 
 class _GuardedOracle:
@@ -105,6 +110,11 @@ class _GuardedOracle:
             self._guards.setdefault(candidate, len(self._guards))
         self._guard_atoms = [Atom(_GUARD, [Integer(i)]) for i in range(len(self._guards))]
         self._compiled: Dict[object, _CompiledExample] = {}
+        self._generation = 0  # bumped by each task built over the oracle
+
+    def knows(self, candidate: CandidateRule) -> bool:
+        """Is ``candidate`` in the guard table?"""
+        return candidate in self._guards
 
     def constraints_only(self) -> bool:
         """True iff every candidate is an integrity constraint.
@@ -122,11 +132,14 @@ class _GuardedOracle:
         for candidate, index in self._guards.items():
             yield candidate, Literal(self._guard_atoms[index], True)
 
-    def _check(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+    def holds(self, hypothesis: Sequence[CandidateRule], example) -> bool:
+        """Does some compiled program of ``example`` have an answer set
+        with exactly the guards of ``hypothesis`` assumed?"""
         spend()  # every oracle check ticks the ambient budget
         compiled = self._compiled.get(example)
         if compiled is None:  # each oracle kind defines _compile
             compiled = self._compiled[example] = self._compile(example)
+        compiled.checked_in = self._generation
         relevant = compiled.relevant
         try:
             guards = frozenset(
@@ -146,6 +159,8 @@ class _GuardedOracle:
                 for solver in compiled.solvers
             )
             compiled.verdicts[guards] = verdict
+            if not relevant:  # the only verdict this example can have
+                compiled.solvers = []
         return verdict
 
     def _solvers(self, programs: Iterable[Program]) -> _CompiledExample:
@@ -238,10 +253,18 @@ class _ASGOracle(_GuardedOracle):
         )
 
     def retain(self, examples: Iterable[ContextExample]) -> None:
-        """Drop the compiled examples that are not in ``examples``."""
+        """Start a new generation: keep ``examples`` and the examples
+        checked since the previous call, drop every other compiled one."""
         keep = set(examples)
-        for example in [e for e in self._compiled if e not in keep]:
+        current = self._generation
+        stale = [
+            example
+            for example, compiled in self._compiled.items()
+            if example not in keep and compiled.checked_in != current
+        ]
+        for example in stale:
             del self._compiled[example]
+        self._generation = current + 1
 
     def _attachments(self) -> Dict[int, List[Tuple[Rule, Literal]]]:
         """Candidates and their guards per production, checked as ``G : H`` would."""
@@ -346,7 +369,7 @@ class ASGLearningTask:
 
     def positive_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
         """Check condition 1 of Definition 3: ``s ∈ L(G(C) : H)``."""
-        return self.oracle._check(hypothesis, example)
+        return self.oracle.holds(hypothesis, example)
 
     def negative_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
         """Check condition 2 of Definition 3: ``s ∉ L(G(C) : H)``."""
@@ -418,7 +441,7 @@ class LASTask(_GuardedOracle):
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation
     ) -> bool:
         """Some answer set of ``B ∪ H ∪ C`` covers the partial interpretation."""
-        return self._check(hypothesis, example)
+        return self.holds(hypothesis, example)
 
     def negative_holds(
         self, hypothesis: Sequence[CandidateRule], example: PartialInterpretation

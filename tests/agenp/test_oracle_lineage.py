@@ -109,16 +109,33 @@ def test_fresh_oracles_recompile_every_cycle(specification, monkeypatch):
     assert max(compiled.values()) > 1
 
 
-def test_oracle_holds_only_examples_of_the_newest_task(specification, monkeypatch):
+def test_oracle_keeps_the_newest_task_and_recent_checks(specification, monkeypatch):
     cycles, __, padap = run_episode(specification, monkeypatch)
     oracle = cycles[-1]["oracle"]
-    assert set(oracle._compiled) == {e.to_context_example() for e in padap.examples}
+    episode = {e.to_context_example() for e in padap.examples}
+    assert set(oracle._compiled) == episode
 
+    # membership checks after the last adaptation go to the same oracle
     model = padap.representations.latest()
+    drill = Context.from_attributes({"drill": True}, name="drill")
+    checked = set()
+    for text in ("allow alice read", "allow bob write", "allow bob"):
+        model.valid(text.split(), drill)
+        checked.add(ContextExample(text.split(), drill.program))
+    assert model.lineage.oracle is oracle
+    assert set(oracle._compiled) == episode | checked
+
+    # a new task keeps its examples and everything checked since the last
+    # task was built: the last adaptation's examples and the checks above
     kept = padap.examples[:2]
+    kept_examples = {e.to_context_example() for e in kept}
     learn_gpm(model, padap.hypothesis_space, kept)
     assert model.lineage.oracle is oracle
-    assert set(oracle._compiled) <= {e.to_context_example() for e in kept}
+    assert set(oracle._compiled) == kept_examples | episode | checked
+
+    # a second pass over the same examples with no checks in between
+    learn_gpm(model, padap.hypothesis_space, kept)
+    assert set(oracle._compiled) == kept_examples
 
 
 @pytest.mark.parametrize(
