@@ -12,9 +12,18 @@ are written to ``benchmarks/artifacts/BENCH_<module>.jsonl`` plus a
 ``summarize()`` report in ``BENCH_<module>.json`` — see ``common.py``.
 """
 
+import os
+import sys
+
 import pytest
 
 from common import telemetry_session
+
+# benchmarks reuse the test suite's reference implementations
+# (``from tests.agenp.test_pdp_index import linear_evaluate``)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 @pytest.fixture

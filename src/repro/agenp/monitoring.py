@@ -118,23 +118,25 @@ class MonitoringLog:
 
     def __init__(self) -> None:
         self._records: List[DecisionRecord] = []
+        # record id -> the first record appended with it (O(1) feedback)
+        self._by_id: Dict[int, DecisionRecord] = {}
         self._ids = itertools.count(1)
 
     def append(self, record: DecisionRecord) -> DecisionRecord:
         if record.record_id is None:
             record.record_id = next(self._ids)
         self._records.append(record)
+        self._by_id.setdefault(record.record_id, record)
         return record
 
     def records(self) -> List[DecisionRecord]:
         return list(self._records)
 
     def mark_outcome(self, record_id: int, ok: bool) -> None:
-        for record in self._records:
-            if record.record_id == record_id:
-                record.outcome_ok = ok
-                return
-        raise KeyError(f"no record with id {record_id}")
+        record = self._by_id.get(record_id)
+        if record is None:
+            raise KeyError(f"no record with id {record_id}")
+        record.outcome_ok = ok
 
     def violations(self) -> List[DecisionRecord]:
         """Records whose outcome was flagged bad — adaptation triggers."""
@@ -182,6 +184,7 @@ class MonitoringLog:
 
     def clear(self) -> None:
         self._records.clear()
+        self._by_id.clear()
 
     def __len__(self) -> int:
         return len(self._records)

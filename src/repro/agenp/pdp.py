@@ -2,8 +2,11 @@
 
 "When the managed parties require a decision ... the PDP obtains all the
 policies pertinent to that decision and uses them to determine the
-actions that must be performed by the PEP."  Decisions are monitored
-(each produces a :class:`~repro.agenp.monitoring.DecisionRecord`).
+actions that must be performed by the PEP."  The pertinent policies are
+found through an equality index over the compiled policy set
+(:class:`CompiledPolicySet`), and every decision is made by
+:func:`evaluate_compiled`.  Decisions are monitored (each produces a
+:class:`~repro.agenp.monitoring.DecisionRecord`).
 
 Graceful degradation: policy interpretation may be solver-backed (an
 interpreter may run ASG membership or ASP solving), so one hard policy
@@ -28,7 +31,7 @@ load), but they too count toward opening the breaker.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.contexts import Context
 from repro.agenp.interpreters import PolicyInterpreter
@@ -38,29 +41,109 @@ from repro.errors import ReproError, ResourceError
 from repro.policy.conflicts import ResolutionStrategy, deny_overrides
 from repro.policy.evaluation import applicable_rules
 from repro.policy.model import Decision, Request
-from repro.policy.xacml import Policy
+from repro.policy.xacml import Match, Policy
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.budget import Budget, budget_scope
 from repro.telemetry import span as _tele_span
 
-__all__ = ["PolicyDecisionPoint", "evaluate_compiled"]
+__all__ = ["CompiledPolicySet", "PolicyDecisionPoint", "evaluate_compiled"]
+
+# Value types for which ``a == b`` implies ``hash(a) == hash(b)`` against a
+# str/int match value, so a dict lookup answers exactly what ``==`` does.
+_KEYABLE = frozenset((str, int, bool))
+
+
+def _equality_tests(policy: Policy) -> List[Match]:
+    """The ``eq`` matches a request must pass for ``policy`` to yield a rule.
+
+    Those of the policy target, plus, for a single-rule policy, those of
+    the rule's target and condition.  Sorted by attribute, so that
+    policies testing the same attributes share one shape.
+    """
+    matches = policy.target.matches
+    if len(policy.rules) == 1:
+        matches = matches + policy.rules[0].all_matches()
+    tests = [match for match in matches if match.op == "eq"]
+    tests.sort(key=lambda match: (match.category, match.attribute))
+    return tests
+
+
+class CompiledPolicySet:
+    """An interpreted policy set plus an equality index over it.
+
+    ``policies`` holds the (stored, interpreted) pairs in repository
+    order.  Each policy is indexed under its *shape*, the
+    ``(category, attribute)`` pairs of its necessary equality tests
+    (:func:`_equality_tests`), by the tuple of their match values.  A
+    policy with no such test, or with a match value that is not a
+    str/int, goes on the ``residual`` list and is a candidate for every
+    request.  The set is immutable and pickles (the engine's process
+    pool ships it to its workers).
+    """
+
+    __slots__ = ("policies", "shapes", "residual")
+
+    def __init__(self, policies: Iterable[Tuple[StoredPolicy, Policy]] = ()):
+        self.policies: Tuple[Tuple[StoredPolicy, Policy], ...] = tuple(policies)
+        shapes: Dict[tuple, Dict[tuple, List[int]]] = {}
+        residual: List[int] = []
+        for position, (__, policy) in enumerate(self.policies):
+            tests = _equality_tests(policy)
+            if not tests or any(type(m.value) not in _KEYABLE for m in tests):
+                residual.append(position)
+                continue
+            shape = tuple((m.category, m.attribute) for m in tests)
+            values = tuple(m.value for m in tests)
+            shapes.setdefault(shape, {}).setdefault(values, []).append(position)
+        self.shapes: Tuple[Tuple[tuple, Dict[tuple, List[int]]], ...] = tuple(
+            shapes.items()
+        )
+        self.residual: Tuple[int, ...] = tuple(residual)
+
+    def candidates(self, request: Request) -> Sequence[int]:
+        """Ascending positions of the policies that may apply to ``request``.
+
+        One dict lookup per shape.  A shape whose attributes the request
+        lacks is skipped: each of its policies has a test that then gives
+        ``None``, so it yields no rule.  A request value that is not a
+        str/int makes every position a candidate.
+        """
+        found = list(self.residual)
+        for shape, buckets in self.shapes:
+            values = []
+            for category, attribute in shape:
+                value = request.get(category, attribute)
+                if value is None:
+                    break
+                if type(value) not in _KEYABLE:
+                    return range(len(self.policies))
+                values.append(value)
+            else:
+                found += buckets.get(tuple(values), ())
+        # shapes and the residual partition the positions
+        found.sort()
+        return found
 
 
 def evaluate_compiled(
-    compiled: Sequence[Tuple[StoredPolicy, Policy]],
+    compiled: CompiledPolicySet,
     request: Request,
     strategy: ResolutionStrategy = deny_overrides,
     default_decision: Decision = Decision.DENY,
 ) -> Tuple[Decision, str]:
-    """Resolve one request against an already-compiled policy set.
+    """Resolve one request against a compiled policy set: the decision function.
 
-    Returns ``(decision, winning policy text)`` — the pure, stateless
-    core of :meth:`PolicyDecisionPoint.decide`, shared with the serving
-    engine's batch path (:meth:`repro.engine.PolicyEngine.decide_many`),
-    including its process-pool workers (everything here pickles).
+    Returns ``(decision, winning policy text)``.  Only the index
+    candidates are matched, in policy order, so the hits, and with them
+    every strategy's verdict, equal those of a scan over all policies.
+    :meth:`PolicyDecisionPoint.decide`, its degraded path and the serving
+    engine's batch path (:meth:`repro.engine.PolicyEngine.decide_many`,
+    process-pool workers included) all decide here.
     """
+    policies = compiled.policies
     hits = []
-    for stored, policy in compiled:
+    for position in compiled.candidates(request):
+        stored, policy = policies[position]
         for rule, decision in applicable_rules(policy, request):
             hits.append((stored, policy, rule, decision))
     if not hits:
@@ -91,13 +174,13 @@ class PolicyDecisionPoint:
         self.default_decision = default_decision
         self.budget_factory = budget_factory
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._compiled: List[Tuple[StoredPolicy, Policy]] = []
+        self._compiled = CompiledPolicySet()
         self._compiled_for: Optional[Tuple[StoredPolicy, ...]] = None
         self._compiled_generation: Optional[int] = None
         # last compiled set that served a decision successfully
-        self._last_good: Optional[List[Tuple[StoredPolicy, Policy]]] = None
+        self._last_good: Optional[CompiledPolicySet] = None
 
-    def _compile(self) -> List[Tuple[StoredPolicy, Policy]]:
+    def _compile(self) -> CompiledPolicySet:
         """The compiled policy set, recompiled only when the repository moved.
 
         Staleness is checked against the repository's ``generation``
@@ -108,46 +191,27 @@ class PolicyDecisionPoint:
         if generation is not None:
             if generation != self._compiled_generation:
                 current = tuple(self.repository.all())
-                self._compiled = [(p, self.interpreter(p.tokens)) for p in current]
+                self._compiled = self._interpret(current)
                 self._compiled_for = current
                 self._compiled_generation = generation
             return self._compiled
         current = tuple(self.repository.all())
         if self._compiled_for != current:
-            self._compiled = [(p, self.interpreter(p.tokens)) for p in current]
+            self._compiled = self._interpret(current)
             self._compiled_for = current
         return self._compiled
 
-    def compiled(self) -> List[Tuple[StoredPolicy, Policy]]:
+    def _interpret(self, policies: Sequence[StoredPolicy]) -> CompiledPolicySet:
+        return CompiledPolicySet((p, self.interpreter(p.tokens)) for p in policies)
+
+    def compiled(self) -> CompiledPolicySet:
         """The up-to-date compiled policy set (public, for the engine)."""
-        return list(self._compile())
+        return self._compile()
 
     def _scope(self):
         if self.budget_factory is not None:
             return budget_scope(self.budget_factory())
         return contextlib.nullcontext()
-
-    @staticmethod
-    def _hits(
-        compiled: Sequence[Tuple[StoredPolicy, Policy]], request: Request
-    ) -> List[Tuple[StoredPolicy, Policy, object, Decision]]:
-        hits = []
-        for stored, policy in compiled:
-            for rule, decision in applicable_rules(policy, request):
-                hits.append((stored, policy, rule, decision))
-        return hits
-
-    def _resolve(self, hits) -> Tuple[Decision, str]:
-        if hits:
-            decision = self.strategy([(p, r, d) for __, p, r, d in hits])
-            winning = [
-                stored.text
-                for stored, __, __r, d in hits
-                if d == decision
-            ]
-            policy_text = winning[0] if winning else hits[0][0].text
-            return decision, policy_text
-        return self.default_decision, ""
 
     def decide(self, request: Request, context: Optional[Context] = None) -> DecisionRecord:
         """Evaluate the request; log and return the decision record.
@@ -167,7 +231,10 @@ class PolicyDecisionPoint:
                 return self._degrade(request, context, "circuit open", sp)
             try:
                 with self._scope():
-                    hits = self._hits(self._compile(), request)
+                    compiled = self._compile()
+                    decision, policy_text = evaluate_compiled(
+                        compiled, request, self.strategy, self.default_decision
+                    )
             except ResourceError as error:
                 self.breaker.record_failure()
                 sp.incr("pdp.resource_errors")
@@ -180,8 +247,7 @@ class PolicyDecisionPoint:
                 self.breaker.record_failure()
                 raise
             self.breaker.record_success()
-            self._last_good = list(self._compiled)
-            decision, policy_text = self._resolve(hits)
+            self._last_good = compiled
             sp.set(decision=decision.value, degraded=False)
             record = DecisionRecord(
                 request, decision, policy_text, context, trace_id=sp.trace_id
@@ -201,8 +267,8 @@ class PolicyDecisionPoint:
         note = f"degraded ({reason}): default decision"
         if self._last_good is not None:
             try:
-                decision, policy_text = self._resolve(
-                    self._hits(self._last_good, request)
+                decision, policy_text = evaluate_compiled(
+                    self._last_good, request, self.strategy, self.default_decision
                 )
                 note = f"degraded ({reason}): last-known-good policies"
             except ReproError:

@@ -44,8 +44,8 @@ from repro.asp.rules import Program
 from repro.asp.solver import AnswerSetSolver, SolveResult, solve
 from repro.asg.semantics import accepts as _asg_accepts
 from repro.agenp.monitoring import DecisionRecord, MonitoringLog
-from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
-from repro.agenp.repositories import ContextRepository, PolicyRepository, StoredPolicy
+from repro.agenp.pdp import CompiledPolicySet, PolicyDecisionPoint, evaluate_compiled
+from repro.agenp.repositories import ContextRepository, PolicyRepository
 from repro.core.contexts import Context
 from repro.engine.caches import (
     GroundCache,
@@ -62,7 +62,6 @@ from repro.engine.fingerprint import (
     fingerprint_tokens,
 )
 from repro.policy.model import Decision, Request
-from repro.policy.xacml import Policy
 from repro.runtime.budget import Budget
 from repro.telemetry import span as _tele_span
 
@@ -97,7 +96,7 @@ class EngineStats:
 
 
 def _decide_group_worker(
-    payload: Tuple[List[Tuple[StoredPolicy, Policy]], Any, Decision, List[Request]],
+    payload: Tuple[CompiledPolicySet, Any, Decision, List[Request]],
 ) -> List[Tuple[Decision, str]]:
     """Process-pool worker: resolve a chunk of requests against one
     compiled policy set.  Module-level so it pickles by reference."""
@@ -431,7 +430,7 @@ class PolicyEngine:
 
     def _resolve_cold(
         self,
-        compiled: List[Tuple[StoredPolicy, Policy]],
+        compiled: CompiledPolicySet,
         cold_requests: List[Request],
         workers: Optional[int],
         pdp: PolicyDecisionPoint,
@@ -452,7 +451,7 @@ class PolicyEngine:
 
     @staticmethod
     def _resolve_pool(
-        compiled: List[Tuple[StoredPolicy, Policy]],
+        compiled: CompiledPolicySet,
         cold_requests: List[Request],
         workers: int,
         pdp: PolicyDecisionPoint,

@@ -172,6 +172,10 @@ class AmbiguityLimitError(GrammarError):
     """Raised when a parse forest exceeds the configured tree limit."""
 
 
+class GenerationLimitError(GrammarError):
+    """Raised when a language has more strings than generation may walk."""
+
+
 class LearningError(ReproError):
     """Base class for inductive-learning errors."""
 

@@ -85,6 +85,29 @@ class TestMonitoring:
         with pytest.raises(KeyError):
             log.mark_outcome(424242, ok=True)
 
+    def test_duplicate_record_id_marks_first_appended(self):
+        log = MonitoringLog()
+        first = log.append(self._record())
+        second = self._record()
+        second.record_id = first.record_id
+        log.append(second)
+        log.mark_outcome(first.record_id, ok=False)
+        assert first.outcome_ok is False
+        assert second.outcome_ok is None
+        assert log.violations() == [first]
+
+    def test_mark_after_clear_raises(self):
+        log = MonitoringLog()
+        record = log.append(self._record())
+        log.clear()
+        with pytest.raises(KeyError):
+            log.mark_outcome(record.record_id, ok=True)
+        assert record.outcome_ok is None
+        fresh = log.append(self._record())
+        assert fresh.record_id != record.record_id
+        log.mark_outcome(fresh.record_id, ok=True)
+        assert log.confirmations() == [fresh]
+
 
 class TestPEP:
     def test_permit_performs_action(self):

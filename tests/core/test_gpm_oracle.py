@@ -26,6 +26,8 @@ from repro.asg.semantics import accepts
 from repro.asp.atoms import Atom, Literal
 from repro.asp.parser import parse_program
 from repro.core import Context, GenerativePolicyModel, LabeledExample, learn_gpm
+from repro.core import gpm
+from repro.errors import GenerationLimitError, GrammarError
 from repro.grammar.generator import generate_strings
 from repro.learning import constraint_space
 from repro.learning.mode_bias import CandidateRule
@@ -114,6 +116,21 @@ def test_membership_and_generation_match_the_reference(seed):
     assert verdicts == {True, False}
     if learned_oracle is not None:  # no version needed a rebuild
         assert model.lineage.oracle is learned_oracle
+
+
+def test_generation_past_the_string_bound_raises(monkeypatch):
+    model = GenerativePolicyModel(parse_asg(GRAMMAR))
+    size = len(strings()) - 3
+    full = model.generate(max_length=MAX_LENGTH)
+    assert len(full) > 1
+    monkeypatch.setattr(gpm, "MAX_GENERATED_STRINGS", size)
+    assert model.generate(max_length=MAX_LENGTH) == full
+    monkeypatch.setattr(gpm, "MAX_GENERATED_STRINGS", size - 1)
+    with pytest.raises(GenerationLimitError) as raised:
+        model.generate(max_length=MAX_LENGTH)
+    assert isinstance(raised.value, GrammarError)
+    # max_policies is reached before the bound: the prefix is the answer
+    assert model.generate(max_length=MAX_LENGTH, max_policies=1) == full[:1]
 
 
 def make_prep():
