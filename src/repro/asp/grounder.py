@@ -19,8 +19,9 @@ grounding; unsafe rules raise :class:`~repro.errors.UnsafeRuleError`.
 
 *Externals* (clingo's ``#external``) are ground atoms whose truth is an
 input rather than something the program derives: the grounder treats
-them as possible atoms from the start and emits no rules for them; the
-solver fixes their values on each call (see
+them as possible atoms from the start and raises
+:class:`~repro.errors.GroundingError` on a ground rule that derives one;
+the solver fixes their values on each call (see
 :meth:`~repro.asp.solver.AnswerSetSolver.solve`).
 """
 
@@ -420,9 +421,12 @@ def ground_program(
     """Ground ``program``.
 
     ``externals`` declares ground atoms as inputs: they are possible
-    from the start, no rule is emitted for them (so none may head a rule
-    of ``program``), and the solver fixes their truth per call.  ``max_atoms`` bounds the possible-atom set as
-    a runaway guard (raises :class:`GroundingError` when exceeded).
+    from the start and the solver fixes their truth per call.  None may
+    be derived: a ground rule whose head, or one of whose choice
+    elements, is an external raises :class:`GroundingError`, since the
+    solver would silently fix that atom false.  ``max_atoms`` bounds the
+    possible-atom set as a runaway guard (raises :class:`GroundingError`
+    when exceeded).
     ``budget`` (explicit or ambient) is ticked once per enumerated
     substitution in both phases, so step budgets and deadlines interrupt
     grounding before the possible-atom set explodes.
@@ -436,6 +440,10 @@ def ground_program(
         for name, value in ground.stats.as_dict().items():
             sp.incr(f"grounder.{name}", value)
         return ground
+
+
+def _derived_external(atom: Atom, rule: Rule) -> GroundingError:
+    return GroundingError(f"external atom {atom!r} is derived by the rule {rule!r}")
 
 
 def _ground(
@@ -517,6 +525,8 @@ def _ground(
                     head = _evaluate_atom(rule.head.substitute(theta))
                     if head is None:
                         continue
+                    if head in externals:
+                        raise _derived_external(head, rule)
                 ground = NormalRule(head, body)
                 if ground not in seen_normal:
                     seen_normal.add(ground)
@@ -538,6 +548,9 @@ def _ground(
                         break
                     elements.append(evaluated)
                 else:
+                    if not externals.isdisjoint(elements):
+                        atom = next(a for a in elements if a in externals)
+                        raise _derived_external(atom, rule)
                     ground_choice = ChoiceRule(elements, body, rule.lower, rule.upper)
                     if ground_choice not in seen_choice:
                         seen_choice.add(ground_choice)

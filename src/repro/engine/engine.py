@@ -19,7 +19,9 @@ generation-based invalidation:
   from a decision cache keyed by (policy generation, context generation,
   context fingerprint, request); ``engine.decide_many(requests)`` groups
   duplicate requests so each distinct decision is computed once, with an
-  optional ``workers=N`` process-pool fan-out for cold batches.
+  optional ``workers=N`` process-pool fan-out for cold batches.  A
+  request with an unhashable attribute value has no cache key: the PDP
+  answers it uncached.
 * **Invalidation** — PAdaP policy updates bump
   ``PolicyRepository.generation`` and context changes bump
   ``ContextRepository.generation``; the engine folds both counters into
@@ -36,6 +38,7 @@ spans wrap the serving operations.
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asp.grounder import GroundProgram, ground_program
@@ -63,6 +66,7 @@ from repro.engine.fingerprint import (
 )
 from repro.policy.model import Decision, Request
 from repro.runtime.budget import Budget
+from repro.telemetry import incr as _tele_incr
 from repro.telemetry import span as _tele_span
 
 __all__ = ["PolicyEngine", "EngineStats"]
@@ -72,27 +76,48 @@ _DEFAULT_MAX_ATOMS = 2_000_000
 
 
 class EngineStats:
-    """A point-in-time snapshot of every cache's counters."""
+    """A point-in-time snapshot of every cache's counters, plus the
+    process-pool fan-outs that failed and were served serially."""
 
-    __slots__ = ("caches", "decisions", "batches")
+    __slots__ = ("caches", "decisions", "batches", "pool_failures")
 
-    def __init__(self, caches: Dict[str, Dict[str, float]], decisions: int, batches: int):
+    def __init__(
+        self,
+        caches: Dict[str, Dict[str, float]],
+        decisions: int,
+        batches: int,
+        pool_failures: int = 0,
+    ):
         self.caches = caches
         self.decisions = decisions
         self.batches = batches
+        self.pool_failures = pool_failures
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "caches": self.caches,
             "decisions": self.decisions,
             "batches": self.batches,
+            "pool_failures": self.pool_failures,
         }
 
     def __repr__(self) -> str:
         inner = " ".join(
             f"{name}[h={c['hits']} m={c['misses']}]" for name, c in self.caches.items()
         )
-        return f"EngineStats({inner} decisions={self.decisions} batches={self.batches})"
+        return (
+            f"EngineStats({inner} decisions={self.decisions} batches={self.batches} "
+            f"pool_failures={self.pool_failures})"
+        )
+
+
+def _pickles(*objects: Any) -> bool:
+    """Can ``objects`` be sent to a worker process?"""
+    try:
+        pickle.dumps(objects)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
 
 
 def _decide_group_worker(
@@ -156,6 +181,7 @@ class PolicyEngine:
         self.decision_cache: LRUCache = LRUCache(decision_cache_size, name="decision")
         self._decisions_served = 0
         self._batches_served = 0
+        self._pool_failures = 0
         # generations the decision cache was built against
         self._seen_generations: Optional[Tuple[int, int]] = None
         # id-keyed memo for ASG fingerprints (grammars are large; the
@@ -335,7 +361,11 @@ class PolicyEngine:
         )
         with _tele_span("engine.decide") as sp:
             self._decisions_served += 1
-            cached = self.decision_cache.get(key)
+            try:
+                cached = self.decision_cache.get(key)
+            except TypeError:  # an unhashable attribute value: no cache key
+                sp.set(cache="uncacheable")
+                return pdp.decide(request, context)
             if cached is not None:
                 decision, policy_text = cached
                 sp.set(cache="hit", decision=decision.value)
@@ -360,9 +390,10 @@ class PolicyEngine:
         Requests are grouped by content key; the unique cold group is
         resolved against one compiled policy set — serially, or fanned
         out to a process pool when ``workers`` (or the engine default)
-        is > 1 and the batch is large enough to amortize pool startup.
-        Every input request still yields its own monitoring record, in
-        input order.
+        is > 1, the batch is large enough to amortize pool startup and
+        the strategy and policy set pickle.  A request with an unhashable
+        attribute value is decided by the PDP alone.  Every input request
+        still yields its own monitoring record, in input order.
         """
         pdp = self._require_pdp()
         context = context if context is not None else (
@@ -379,13 +410,19 @@ class PolicyEngine:
             order: List[tuple] = []
             by_key: Dict[tuple, List[int]] = {}
             exemplar: Dict[tuple, Request] = {}
+            uncacheable: List[int] = []
             for index, request in enumerate(requests):
                 key = request.key()
-                if key not in by_key:
-                    by_key[key] = []
+                try:
+                    group = by_key.get(key)
+                except TypeError:  # an unhashable attribute value: no cache key
+                    uncacheable.append(index)
+                    continue
+                if group is None:
+                    group = by_key[key] = []
                     exemplar[key] = request
                     order.append(key)
-                by_key[key].append(index)
+                group.append(index)
             sp.set(unique=len(order))
 
             # split unique requests into cache hits and the cold group
@@ -425,6 +462,8 @@ class PolicyEngine:
                         trace_id=sp.trace_id,
                     )
                     records[index] = pdp.log.append(record)
+            for index in uncacheable:
+                records[index] = pdp.decide(requests[index], context)
             self._decisions_served += len(requests)
             return records
 
@@ -435,13 +474,24 @@ class PolicyEngine:
         workers: Optional[int],
         pdp: PolicyDecisionPoint,
     ) -> List[Tuple[Decision, str]]:
-        """Resolve the unique cold requests, fanning out when profitable."""
-        if workers and workers > 1 and len(cold_requests) >= 2 * workers:
+        """Resolve the unique cold requests, fanning out when profitable.
+
+        A strategy or policy set that does not pickle is served serially
+        without starting a pool; a pool that fails is counted
+        (``stats().pool_failures`` and the ``engine.pool_failures``
+        counter) and its requests are served serially.
+        """
+        if (
+            workers
+            and workers > 1
+            and len(cold_requests) >= 2 * workers
+            and _pickles(compiled, pdp.strategy, pdp.default_decision)
+        ):
             try:
                 return self._resolve_pool(compiled, cold_requests, workers, pdp)
             except Exception:
-                # unpicklable strategy/policy or pool failure: serve serially
-                pass
+                self._pool_failures += 1
+                _tele_incr("engine.pool_failures")
         return [
             evaluate_compiled(
                 compiled, request, pdp.strategy, pdp.default_decision
@@ -510,4 +560,5 @@ class PolicyEngine:
             },
             self._decisions_served,
             self._batches_served,
+            self._pool_failures,
         )

@@ -27,13 +27,30 @@ once per oracle into ground programs holding *all* guarded candidates:
   per excluded atom), so coverage is satisfiability;
 * an ASG example into ``G(C)[PT]`` for each parse tree ``PT`` of its
   string (one Earley call), with every candidate re-rooted at each node
-  of its production and then guarded.
+  of its production and then guarded; when ``C`` is plain facts, into
+  assumptions over its string's shared compile (see below).
 
 A check ``holds(H, e)`` solves the compiled programs for one model with
 exactly the guards of ``H`` assumed true.  Guards that occur in no
 ground rule of the example cannot change its verdict, so each compiled
 example memoises its verdicts keyed by the relevant guards; an example
 with no relevant guard keeps its first verdict and releases its solvers.
+
+Contexts as assumptions (ASG only): a context of *plain facts* (ground,
+unannotated facts whose predicate heads no rule of the initial grammar
+or the hypothesis space) is not compiled into the programs.  The ASG
+oracle compiles each *string* once over its *fact universe*, the union
+of the plain facts of every context it has compiled: every universe
+fact re-rooted at each target node of each parse tree is an external
+beside the guards.  An example then only records which of those
+externals its own facts make true, and a check assumes them with the
+guards, so a new context over known facts compiles nothing.  A fact
+outside the universe of its string's compile grows the universe and
+compiles that string once more.  A string compile in which no external
+occurs has one verdict in every context: it is solved once and keeps
+only that verdict.  Any other context (rules, annotated or non-ground
+facts, a fact whose predicate heads a rule) is compiled with its string
+into ``G(C)[PT]`` as before.
 
 The oracle (guard table, guarded candidates, compiled examples) is
 separate from the examples it checks.  A :class:`LASTask` is its own
@@ -60,7 +77,7 @@ from repro.asp.solver import AnswerSetSolver
 from repro.asp.terms import Integer
 from repro.asg.annotated import ASG, validate_annotation
 from repro.asg.semantics import reroot_rule
-from repro.errors import GrammarError, LearningError
+from repro.errors import GrammarError, GroundingError, LearningError
 from repro.grammar.cfg import SymbolString
 from repro.grammar.earley import parse_trees
 from repro.grammar.parse_tree import ParseTree
@@ -84,17 +101,27 @@ def _guarded(rule: Rule, guard: Literal) -> Rule:
 
 class _CompiledExample:
     """One example compiled by one oracle: a solver per ground program
-    (one per parse tree for ASG examples), the guard indices that occur
-    in them, the verdicts found so far keyed by the relevant guards of
-    the hypothesis, and the oracle generation of its last check."""
+    (one per parse tree for ASG examples) with the context externals the
+    example assumes in it, the guard indices that occur in them, the
+    verdicts found so far keyed by the relevant guards of the
+    hypothesis, the oracle generation of its last check, and the string
+    compile its solvers come from (``None`` when they are its own)."""
 
-    __slots__ = ("solvers", "relevant", "verdicts", "checked_in")
+    __slots__ = ("solvers", "contexts", "relevant", "verdicts", "checked_in", "source")
 
-    def __init__(self, solvers: List[AnswerSetSolver], relevant: FrozenSet[int]):
+    def __init__(
+        self,
+        solvers: List[AnswerSetSolver],
+        relevant: FrozenSet[int],
+        contexts: Optional[List[List[Atom]]] = None,
+        source: Optional["_StringCompile"] = None,
+    ):
         self.solvers = solvers
+        self.contexts = contexts if contexts is not None else [[]] * len(solvers)
         self.relevant = relevant
         self.verdicts: Dict[FrozenSet[int], bool] = {}
         self.checked_in = 0
+        self.source = source
 
 
 class _GuardedOracle:
@@ -155,27 +182,29 @@ class _GuardedOracle:
         if verdict is None:  # a check that raises stores nothing
             assumptions = [self._guard_atoms[index] for index in guards]
             verdict = any(
-                solver.solve(max_models=1, assumptions=assumptions)
-                for solver in compiled.solvers
+                solver.solve(max_models=1, assumptions=assumptions + context)
+                for solver, context in zip(compiled.solvers, compiled.contexts)
             )
             compiled.verdicts[guards] = verdict
             if not relevant:  # the only verdict this example can have
-                compiled.solvers = []
+                compiled.solvers, compiled.contexts = [], []
         return verdict
+
+    def _solver(self, program: Program, externals: Sequence[Atom]) -> AnswerSetSolver:
+        ground = ground_program(program, externals=externals)
+        return AnswerSetSolver(ground, use_fast_path=self.use_fast_path)
+
+    def _relevant(self, solvers: Iterable[AnswerSetSolver]) -> FrozenSet[int]:
+        """The indices of the guards that occur in some of ``solvers``."""
+        used = frozenset().union(*(solver.used_externals for solver in solvers))
+        return frozenset(
+            index for index, atom in enumerate(self._guard_atoms) if atom in used
+        )
 
     def _solvers(self, programs: Iterable[Program]) -> _CompiledExample:
         """Ground and load each program with every guard as an external."""
-        solvers: List[AnswerSetSolver] = []
-        used: set = set()
-        for program in programs:
-            ground = ground_program(program, externals=self._guard_atoms)
-            solver = AnswerSetSolver(ground, use_fast_path=self.use_fast_path)
-            solvers.append(solver)
-            used |= solver.used_externals
-        relevant = frozenset(
-            index for index, atom in enumerate(self._guard_atoms) if atom in used
-        )
-        return _CompiledExample(solvers, relevant)
+        solvers = [self._solver(program, self._guard_atoms) for program in programs]
+        return _CompiledExample(solvers, self._relevant(solvers))
 
 
 def _context_key(context: Program) -> FrozenSet[Rule]:
@@ -224,6 +253,45 @@ class ContextExample:
         return f"<{' '.join(self.tokens)}{ctx}>"
 
 
+class _StringCompile:
+    """One policy string compiled by an ASG oracle over a fact universe
+    (see the module docstring): a solver per parse tree, the guard
+    indices that occur in them, and per solver the re-rooted externals
+    of each universe fact that occur in it.  ``verdict`` is set, and the
+    solvers are released, when no external occurs in any of them."""
+
+    __slots__ = ("universe", "solvers", "relevant", "rerooted", "verdict")
+
+    def __init__(
+        self,
+        universe: FrozenSet[Atom],
+        solvers: List[AnswerSetSolver],
+        relevant: FrozenSet[int],
+        rerooted: List[Dict[Atom, List[Atom]]],
+    ):
+        self.universe = universe
+        self.solvers = solvers
+        self.relevant = relevant
+        self.rerooted = rerooted
+        self.verdict: Optional[bool] = None
+        if not relevant and not any(rerooted):
+            self.verdict = any(solver.solve(max_models=1) for solver in solvers)
+            self.solvers = []
+            self.rerooted = []
+
+    def example(self, facts: FrozenSet[Atom]) -> _CompiledExample:
+        """The compiled example of this string under the context ``facts``."""
+        if self.verdict is not None:
+            compiled = _CompiledExample([], frozenset(), source=self)
+            compiled.verdicts[frozenset()] = self.verdict
+            return compiled
+        contexts = [
+            [atom for fact in facts for atom in rerooted.get(fact, ())]
+            for rerooted in self.rerooted
+        ]
+        return _CompiledExample(self.solvers, self.relevant, contexts, self)
+
+
 class _ASGOracle(_GuardedOracle):
     """The coverage oracle of one ASG lineage (see the module docstring)."""
 
@@ -241,6 +309,19 @@ class _ASGOracle(_GuardedOracle):
         self.max_trees = max_trees
         # production id -> [(rule, guard)], validated on first compile
         self._attached: Optional[Dict[int, List[Tuple[Rule, Literal]]]] = None
+        # the signatures of heads and choice elements: a context fact over
+        # one of them is not plain
+        rules = [rule for program in initial.annotations.values() for rule in program]
+        rules += [candidate.rule for candidate in self.hypothesis_space]
+        derived = set()
+        for rule in rules:
+            if isinstance(rule, ChoiceRule):
+                derived.update(atom.signature for atom in rule.elements)
+            elif isinstance(rule, NormalRule) and rule.head is not None:
+                derived.add(rule.head.signature)
+        self._derived = frozenset(derived)
+        self._universe: FrozenSet[Atom] = frozenset()
+        self._strings: Dict[SymbolString, _StringCompile] = {}
 
     def serves(self, task: "ASGLearningTask") -> bool:
         """Does ``task`` belong to this oracle's lineage?"""
@@ -264,6 +345,12 @@ class _ASGOracle(_GuardedOracle):
         ]
         for example in stale:
             del self._compiled[example]
+        live = {id(compiled.source) for compiled in self._compiled.values()}
+        self._strings = {
+            tokens: source
+            for tokens, source in self._strings.items()
+            if id(source) in live
+        }
         self._generation = current + 1
 
     def _attachments(self) -> Dict[int, List[Tuple[Rule, Literal]]]:
@@ -284,20 +371,84 @@ class _ASGOracle(_GuardedOracle):
         if self.initial.strict:
             validate_annotation(self.initial.cfg.production(prod_id), Program(rules))
 
-    def _compile(self, example: ContextExample) -> _CompiledExample:
-        attached = self._attachments()
+    def _targets(self) -> set:
+        """The productions whose nodes receive the context."""
         cfg = self.initial.cfg
         if self.context_placement == "all":
-            targets = {p.prod_id for p in cfg.productions}
-        else:
-            targets = {p.prod_id for p in cfg.productions_for(cfg.start)}
+            return {p.prod_id for p in cfg.productions}
+        return {p.prod_id for p in cfg.productions_for(cfg.start)}
+
+    def _trees(self, tokens: SymbolString) -> List[ParseTree]:
+        # strict: a truncated forest could hide the only accepting tree
+        return parse_trees(self.initial.cfg, tokens, max_trees=self.max_trees, strict=True)
+
+    def _plain_facts(self, context: Program) -> Optional[FrozenSet[Atom]]:
+        """The atoms of ``context`` when all its rules are plain facts, else None."""
+        facts = set()
+        for rule in context:
+            if not isinstance(rule, NormalRule) or not rule.is_fact:
+                return None
+            atom = rule.head
+            if (
+                atom.annotation is not None
+                or atom.signature in self._derived
+                or not atom.is_ground()
+            ):
+                return None
+            try:  # no arithmetic left to evaluate
+                if atom.evaluate() != atom:
+                    return None
+            except GroundingError:
+                return None
+            facts.add(atom)
+        return frozenset(facts)
+
+    def _compile(self, example: ContextExample) -> _CompiledExample:
+        facts = self._plain_facts(example.context)
+        if facts is None:
+            return self._compile_with_context(example)
+        if not facts <= self._universe:
+            self._universe |= facts
+        source = self._strings.get(example.tokens)
+        if source is None or not facts <= source.universe:
+            source = self._compile_string(example.tokens)
+            self._strings[example.tokens] = source
+        return source.example(facts)
+
+    def _compile_string(self, tokens: SymbolString) -> _StringCompile:
+        """``G[PT]`` per parse tree with the guards and every universe fact
+        at each target node as externals."""
+        attached = self._attachments()
+        targets = self._targets()
+        universe = self._universe
+        solvers: List[AnswerSetSolver] = []
+        rerooted: List[Dict[Atom, List[Atom]]] = []
+        for tree in self._trees(tokens):
+            traces = [
+                trace
+                for node, trace in tree.interior_nodes()
+                if node.production.prod_id in targets
+            ]
+            at_nodes = {fact: [fact.with_annotation(t) for t in traces] for fact in universe}
+            externals = self._guard_atoms + [a for atoms in at_nodes.values() for a in atoms]
+            program = self._tree_program(tree, (), targets, attached)
+            solver = self._solver(program, externals)
+            solvers.append(solver)
+            used = solver.used_externals
+            kept = {fact: [a for a in atoms if a in used] for fact, atoms in at_nodes.items()}
+            rerooted.append({fact: atoms for fact, atoms in kept.items() if atoms})
+        return _StringCompile(universe, solvers, self._relevant(solvers), rerooted)
+
+    def _compile_with_context(self, example: ContextExample) -> _CompiledExample:
+        """``G(C)[PT]`` per parse tree: the context compiled into the programs."""
+        attached = self._attachments()
+        targets = self._targets()
         context = list(example.context)
         for prod_id in targets:
             self._validate(prod_id, context)
-        # strict: a truncated forest could hide the only accepting tree
-        trees = parse_trees(cfg, example.tokens, max_trees=self.max_trees, strict=True)
         return self._solvers(
-            self._tree_program(tree, context, targets, attached) for tree in trees
+            self._tree_program(tree, context, targets, attached)
+            for tree in self._trees(example.tokens)
         )
 
     def _tree_program(

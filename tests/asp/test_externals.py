@@ -7,7 +7,7 @@ from repro.asp.grounder import ground_program
 from repro.asp.parser import parse_program
 from repro.asp.solver import AnswerSetSolver
 from repro.runtime.budget import Budget, budget_scope
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, GroundingError
 
 E = Atom("e")
 F = Atom("f")
@@ -32,6 +32,16 @@ class TestGrounder:
         # `not f` is kept: f is possible, so the solver decides it
         (b_rule,) = [r for r in ground.normal_rules if r.head == Atom("b")]
         assert len(b_rule.body) == 1
+
+    @pytest.mark.parametrize("text", ["e :- a. a.", "{ a; f }.", "e.", "e :- not a."])
+    def test_a_derived_external_is_refused(self, text):
+        # the solver would fix e (or f) false whatever the rule says
+        with pytest.raises(GroundingError, match="external atom"):
+            ground_program(parse_program(text), externals=[E, F])
+
+    def test_an_external_under_a_rule_that_cannot_fire_is_accepted(self):
+        ground = ground_program(parse_program("e :- z. a :- e."), externals=[E])
+        assert [repr(r) for r in ground.normal_rules] == ["a :- e."]
 
     def test_without_externals_the_body_is_pruned(self):
         ground = ground_program(parse_program("a :- e. b :- not f."))

@@ -8,8 +8,10 @@ from repro.agenp.repositories import ContextRepository, PolicyRepository, Stored
 from repro.asg.asg_parser import parse_asg
 from repro.core.contexts import Context
 from repro.engine import PolicyEngine
+from repro.policy.conflicts import priority_based
 from repro.policy.model import Decision, Request
 from repro.runtime.budget import Budget
+from repro.telemetry import Tracer, tracer_scope
 
 
 def make_engine(**kwargs):
@@ -144,6 +146,62 @@ def test_decide_many_with_workers():
     # warm repeat: served from cache entirely
     engine.decide_many(batch, workers=2)
     assert engine.decision_cache.stats.misses == 9
+
+
+def test_unhashable_request_gets_the_pdp_answer():
+    engine, repository = make_engine()
+    reference = PolicyDecisionPoint(
+        repository, FieldInterpreter({1: ("subject", "id"), 2: ("action", "id")})
+    )
+    listed = Request({"subject": {"id": ["alice"]}, "action": {"id": "read"}})
+    expected = reference.decide(listed).decision
+    assert engine.decide(listed).decision == expected
+    batch = [request(), listed, request()]
+    records = engine.decide_many(batch)
+    assert [r.decision for r in records] == [Decision.PERMIT, expected, Decision.PERMIT]
+    assert records[1].request is listed
+    # every request is still logged; the unhashable ones bypass the cache
+    assert len(engine.pdp.log.records()) == 4
+    assert len(engine.decision_cache) == 1
+
+
+def test_unpicklable_strategy_never_starts_a_pool(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    def recording_pool(*args, **kwargs):
+        started.append(args)
+        raise OSError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    strategy = priority_based({})
+    batch = [request(f"user{i % 9}", "read") for i in range(36)] + [request()]
+    pooled, __ = make_engine(strategy=strategy)
+    serial, __ = make_engine(strategy=strategy)
+    pooled_records = pooled.decide_many(batch, workers=2)
+    serial_records = serial.decide_many(batch)
+    assert [(r.decision, r.policy_text) for r in pooled_records] == [
+        (r.decision, r.policy_text) for r in serial_records
+    ]
+    assert not started and pooled.stats().pool_failures == 0
+
+
+def test_a_failing_pool_is_counted(monkeypatch):
+    import concurrent.futures
+
+    def broken_pool(*args, **kwargs):
+        raise OSError("no processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
+    engine, __ = make_engine()
+    batch = [request(f"user{i % 9}", "read") for i in range(36)]
+    with tracer_scope(Tracer()) as tracer:
+        records = engine.decide_many(batch, workers=2)
+    assert [r.decision for r in records] == [Decision.DENY] * 36
+    assert engine.stats().pool_failures == 1
+    assert engine.stats().as_dict()["pool_failures"] == 1
+    assert tracer.metrics.counters["engine.pool_failures"] == 1
 
 
 def test_decide_without_pdp_raises():
