@@ -17,7 +17,7 @@ ICDCS 2019), including its substrates:
 * :mod:`repro.agenp` - the full Figure 2 architecture, plus the
   multi-party coalition fabric;
 * :mod:`repro.engine` - the high-throughput serving engine
-  (fingerprint-keyed caches, batched PDP decisions);
+  (a decision cache and batched PDP decisions);
 * :mod:`repro.analysis` - static analysis (linting) for policies,
   grammars, and learning tasks;
 * :mod:`repro.telemetry` - structured tracing and profiling;
@@ -39,20 +39,15 @@ cover the common serving loop::
     with repro.tracer_scope() as tracer:
         records = engine.decide_many(requests)
 
-Everything else stays importable from its subsystem module.  A few
-older top-level spellings remain importable but emit
-:class:`DeprecationWarning` (see ``_DEPRECATED`` below); new code
-should use the replacements named in the warning.
+Everything else stays importable from its subsystem module.
 """
-
-import warnings as _warnings
 
 __version__ = "0.1.0"
 
 from repro.errors import ReproError
 from repro.analysis import lint_paths
 from repro.asg import accepts, parse_asg
-from repro.asp import is_satisfiable_text, solve_program, solve_text
+from repro.asp import is_satisfiable_text, solve_text
 from repro.engine import PolicyEngine
 from repro.runtime.budget import Budget, budget_scope
 from repro.telemetry import tracer_scope
@@ -60,7 +55,6 @@ from repro.telemetry import tracer_scope
 __all__ = [
     "PolicyEngine",
     "solve_text",
-    "solve_program",
     "is_satisfiable_text",
     "parse_asg",
     "accepts",
@@ -71,32 +65,3 @@ __all__ = [
     "ReproError",
     "__version__",
 ]
-
-# Deprecated top-level spellings: name -> (provider, attribute, replacement).
-# They keep working (served lazily via module __getattr__) but warn; the
-# test suite turns DeprecationWarning into an error, so nothing inside the
-# codebase may use them.
-_DEPRECATED = {
-    "lint_path": ("repro.analysis", "lint_path", "repro.lint_paths"),
-    "solve": ("repro.asp.solver", "solve", "repro.solve_program or repro.PolicyEngine.solve"),
-    "Engine": ("repro.engine", "PolicyEngine", "repro.PolicyEngine"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))

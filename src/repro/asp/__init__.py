@@ -9,12 +9,6 @@ arithmetic, plus the paper's *annotated atoms* (``a(1)@2``) — covers
 everything Answer Set Grammars and the inductive learner need.
 """
 
-from repro.asp.api import (
-    is_satisfiable,
-    is_satisfiable_text,
-    solve_program,
-    solve_text,
-)
 from repro.asp.atoms import Atom, Comparison, Literal
 from repro.asp.grounder import GroundProgram, ground_program
 from repro.asp.parser import parse_atom, parse_program, parse_rule, parse_term
@@ -26,8 +20,10 @@ from repro.asp.solver import (
     SolveResult,
     SolveStats,
     cost_of,
+    is_satisfiable_text,
     solve,
     solve_optimal,
+    solve_text,
 )
 from repro.asp.terms import ArithTerm, Constant, Function, Integer, Term, Variable
 
@@ -61,7 +57,5 @@ __all__ = [
     "cost_of",
     "CostVector",
     "solve_text",
-    "solve_program",
-    "is_satisfiable",
     "is_satisfiable_text",
 ]

@@ -73,6 +73,8 @@ __all__ = [
     "order_body",
 ]
 
+DEFAULT_MAX_ATOMS = 2_000_000
+
 
 class GroundStats:
     """Per-run grounding statistics.
@@ -414,7 +416,7 @@ def _evaluate_atom(atom: Atom) -> Optional[Atom]:
 
 def ground_program(
     program: Program,
-    max_atoms: int = 2_000_000,
+    max_atoms: int = DEFAULT_MAX_ATOMS,
     budget: Optional[Budget] = None,
     externals: Iterable[Atom] = (),
 ) -> GroundProgram:

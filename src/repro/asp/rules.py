@@ -304,18 +304,6 @@ class Program:
                     sigs.add(elem.atom.signature)
         return sigs
 
-    def fingerprint(self) -> str:
-        """Stable content fingerprint (hex) — the serving-cache key.
-
-        Two structurally identical programs share a fingerprint; any
-        change to a rule, term type, annotation, or rule *order*
-        produces a different one.  See :mod:`repro.engine.fingerprint`.
-        """
-        # local import: engine depends on asp, not the other way around
-        from repro.engine.fingerprint import fingerprint_program
-
-        return fingerprint_program(self)
-
     def __repr__(self) -> str:
         return "\n".join(repr(r) for r in self.rules)
 

@@ -39,12 +39,23 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.asp.atoms import Atom, Literal
 from repro.asp.grounder import GroundProgram, ground_program
+from repro.asp.parser import parse_program
 from repro.asp.rules import ChoiceRule, NormalRule, Program
 from repro.errors import BudgetExceededError
 from repro.runtime.budget import Budget, current_budget
 from repro.telemetry import span as _tele_span
 
-__all__ = ["AnswerSetSolver", "solve", "AnswerSet", "SolveResult", "SolveStats"]
+__all__ = [
+    "AnswerSetSolver",
+    "solve",
+    "solve_text",
+    "is_satisfiable_text",
+    "AnswerSet",
+    "SolveResult",
+    "SolveStats",
+]
+
+DEFAULT_MAX_STEPS = 50_000_000
 
 AnswerSet = FrozenSet[Atom]
 
@@ -152,7 +163,7 @@ class AnswerSetSolver:
     def __init__(
         self,
         ground: GroundProgram,
-        max_steps: int = 50_000_000,
+        max_steps: int = DEFAULT_MAX_STEPS,
         budget: Optional[Budget] = None,
         use_fast_path: bool = True,
     ):
@@ -533,7 +544,7 @@ class AnswerSetSolver:
 def solve(
     program: Program,
     max_models: Optional[int] = None,
-    max_steps: int = 50_000_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     budget: Optional[Budget] = None,
     use_fast_path: bool = True,
 ) -> SolveResult:
@@ -550,6 +561,39 @@ def solve(
     return AnswerSetSolver(
         ground, max_steps=max_steps, budget=budget, use_fast_path=use_fast_path
     ).solve(max_models=max_models)
+
+
+def solve_text(
+    text: str,
+    max_models: Optional[int] = None,
+    budget: Optional[Budget] = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    use_fast_path: bool = True,
+) -> SolveResult:
+    """Parse, ground, and solve ASP source text::
+
+        >>> models = solve_text("a :- not b. b :- not a.")
+        >>> sorted(sorted(str(x) for x in m) for m in models)
+        [['a'], ['b']]
+    """
+    return solve(
+        parse_program(text),
+        max_models=max_models,
+        budget=budget,
+        max_steps=max_steps,
+        use_fast_path=use_fast_path,
+    )
+
+
+def is_satisfiable_text(
+    text: str,
+    budget: Optional[Budget] = None,
+    use_fast_path: bool = True,
+) -> bool:
+    """True iff the program given as source text has at least one answer set."""
+    return bool(
+        solve_text(text, max_models=1, budget=budget, use_fast_path=use_fast_path)
+    )
 
 
 CostVector = Tuple[Tuple[int, int], ...]
@@ -582,7 +626,7 @@ def cost_of(ground: GroundProgram, model: AnswerSet) -> CostVector:
 
 def solve_optimal(
     program: Program,
-    max_steps: int = 50_000_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     max_candidates: int = 100_000,
     budget: Optional[Budget] = None,
 ) -> Tuple[List[AnswerSet], CostVector]:

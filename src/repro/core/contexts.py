@@ -9,7 +9,7 @@ composition (local context + PIP-acquired external context).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.asp.atoms import Atom
 from repro.asp.parser import parse_program
@@ -81,10 +81,13 @@ class Context:
         inner = " ".join(f"{a!r}." for a in self.facts())
         return f"Context({label}{inner})"
 
+    def key(self) -> FrozenSet[str]:
+        """The context's identity: its set of rules, so rule order and
+        repeated facts do not count.  Equality and hashing use it."""
+        return frozenset(map(repr, self.program))
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Context) and set(map(repr, self.program)) == set(
-            map(repr, other.program)
-        )
+        return isinstance(other, Context) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(frozenset(map(repr, self.program)))
+        return hash(self.key())

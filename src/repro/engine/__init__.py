@@ -1,48 +1,12 @@
-"""The high-throughput serving engine (caching + batching front door).
+"""The high-throughput serving engine (decision cache + batching front door).
 
-:class:`PolicyEngine` wraps parse → ground → solve, ASG membership, and
-PDP decisions behind fingerprint-keyed LRU caches with generation-based
-invalidation and batched decision serving.  See
-:mod:`repro.engine.engine` for the serving semantics,
-:mod:`repro.engine.fingerprint` for the content-addressing scheme, and
+:class:`PolicyEngine` serves PDP decisions through an LRU decision cache
+with generation-based invalidation and batched decision serving.  See
+:mod:`repro.engine.engine` for the serving semantics and
 :mod:`repro.engine.caches` for admission rules.
 """
 
-from repro.engine.caches import (
-    CacheStats,
-    GroundCache,
-    LRUCache,
-    MembershipCache,
-    ParseCache,
-    SolveCache,
-    admissible,
-)
+from repro.engine.caches import CacheStats, LRUCache, admissible
 from repro.engine.engine import EngineStats, PolicyEngine
-from repro.engine.fingerprint import (
-    combine,
-    fingerprint_asg,
-    fingerprint_program,
-    fingerprint_rule,
-    fingerprint_rules,
-    fingerprint_text,
-    fingerprint_tokens,
-)
 
-__all__ = [
-    "PolicyEngine",
-    "EngineStats",
-    "CacheStats",
-    "LRUCache",
-    "ParseCache",
-    "GroundCache",
-    "SolveCache",
-    "MembershipCache",
-    "admissible",
-    "combine",
-    "fingerprint_asg",
-    "fingerprint_program",
-    "fingerprint_rule",
-    "fingerprint_rules",
-    "fingerprint_text",
-    "fingerprint_tokens",
-]
+__all__ = ["PolicyEngine", "EngineStats", "CacheStats", "LRUCache", "admissible"]

@@ -1,14 +1,7 @@
-"""Fingerprint-keyed LRU caches for the serving engine.
+"""The LRU cache behind the serving engine's decision cache.
 
-One generic :class:`LRUCache` (ordered-dict based, O(1) get/put, typed
-hit/miss/eviction counters) backs four concrete caches:
-
-* :class:`ParseCache` — source text fingerprint → parsed ``Program``;
-* :class:`GroundCache` — program fingerprint → ``GroundProgram``;
-* :class:`SolveCache` — (program fingerprint, solver options) →
-  ``SolveResult`` snapshot;
-* :class:`MembershipCache` — (ASG fingerprint, tokens, options) → the
-  membership verdict for an ASG policy string.
+:class:`LRUCache` is ordered-dict based, with O(1) get/put and typed
+hit/miss/eviction counters.
 
 Admission is *budget-aware*: a result computed while the governing
 :class:`~repro.runtime.budget.Budget` (explicit or ambient) is already
@@ -27,22 +20,12 @@ counters without extra wiring.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generic, Hashable, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Optional, TypeVar
 
-from repro.asp.grounder import GroundProgram
-from repro.asp.solver import SolveResult, SolveStats
 from repro.runtime.budget import Budget, current_budget
 from repro.telemetry import incr as _tele_incr
 
-__all__ = [
-    "CacheStats",
-    "LRUCache",
-    "ParseCache",
-    "GroundCache",
-    "SolveCache",
-    "MembershipCache",
-    "admissible",
-]
+__all__ = ["CacheStats", "LRUCache", "admissible"]
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -101,8 +84,8 @@ class LRUCache(Generic[K, V]):
     """A bounded least-recently-used mapping with telemetry counters.
 
     ``max_entries <= 0`` disables the cache entirely (every lookup
-    misses, nothing is stored) — the switch the engine's ``*_cache_size=0``
-    knobs and the differential tests use.
+    misses, nothing is stored) — the switch the engine's
+    ``decision_cache_size=0`` knob uses.
     """
 
     def __init__(self, max_entries: int, name: str = "lru"):
@@ -157,69 +140,3 @@ class LRUCache(Generic[K, V]):
             self.stats.evictions += dropped
             _tele_incr(f"cache.{self.name}.evictions", dropped)
         return dropped
-
-
-class ParseCache(LRUCache[str, Any]):
-    """Source-text fingerprint → parsed ``Program``."""
-
-    def __init__(self, max_entries: int = 512):
-        super().__init__(max_entries, name="parse")
-
-
-class GroundCache(LRUCache[Tuple[str, int], GroundProgram]):
-    """(program fingerprint, max_atoms) → :class:`GroundProgram`.
-
-    Ground programs are shared, not copied: the solver treats them as
-    read-only inputs, and every :class:`AnswerSetSolver` builds its own
-    internal tables.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        super().__init__(max_entries, name="ground")
-
-
-class _SolveEntry:
-    """An immutable snapshot of a finished solve."""
-
-    __slots__ = ("models", "stats")
-
-    def __init__(self, result: SolveResult):
-        self.models = tuple(result)
-        self.stats: SolveStats = result.stats
-
-
-class SolveCache(LRUCache[Tuple[str, Any], _SolveEntry]):
-    """(program fingerprint, solver-option key) → solve snapshot.
-
-    The option key includes every knob that can change the answer
-    (``max_models``, ``max_steps``, ``use_fast_path``), so a truncated
-    ``max_models=1`` result can never serve an exhaustive query.
-
-    ``get_result`` rebuilds a fresh :class:`SolveResult` per hit — the
-    models tuple is shared (answer sets are frozensets), the list shell
-    is new, so caller-side mutation cannot corrupt the cache.
-    """
-
-    def __init__(self, max_entries: int = 1024):
-        super().__init__(max_entries, name="solve")
-
-    def get_result(self, key: Tuple[str, Any]) -> Optional[SolveResult]:
-        entry = self.get(key)
-        if entry is None:
-            return None
-        return SolveResult(entry.models, entry.stats)
-
-    def put_result(
-        self,
-        key: Tuple[str, Any],
-        result: SolveResult,
-        budget: Optional[Budget] = None,
-    ) -> bool:
-        return self.put(key, _SolveEntry(result), budget=budget)
-
-
-class MembershipCache(LRUCache[Tuple[str, Any], bool]):
-    """(ASG fingerprint, tokens, options) → ASG membership verdict."""
-
-    def __init__(self, max_entries: int = 2048):
-        super().__init__(max_entries, name="membership")

@@ -1,25 +1,14 @@
-"""The serving engine: cached, batched policy evaluation.
+"""The serving engine: cached, batched PDP decisions.
 
-:class:`PolicyEngine` is the one front door for high-throughput policy
-serving.  It wraps the substrate entry points that the rest of the
-framework exposes piecemeal (``parse`` → ``ground`` → ``solve``, ASG
-membership, PDP decisions) behind content-addressed caches with
-generation-based invalidation:
+:class:`PolicyEngine` is the serving front door of the PDP.  It puts a
+decision cache in front of the PDP's compiled policy set:
 
-* **Solve path** — ``engine.solve_text(text)`` / ``engine.solve(program)``
-  consult a parse cache, a :class:`~repro.engine.caches.GroundCache`
-  (program fingerprint → ground program) and a
-  :class:`~repro.engine.caches.SolveCache` (fingerprint + solver options
-  → answer sets).  Results are byte-identical to the uncached path: the
-  cache key covers every knob that can change the answer, and cached
-  models are returned in their original order.
-* **Membership path** — ``engine.accepts(asg, tokens)`` memoizes ASG
-  membership verdicts per (grammar fingerprint, token string, options).
 * **Decision path** — ``engine.decide(request)`` serves PDP decisions
-  from a decision cache keyed by (policy generation, context generation,
-  context fingerprint, request); ``engine.decide_many(requests)`` groups
-  duplicate requests so each distinct decision is computed once, with an
-  optional ``workers=N`` process-pool fan-out for cold batches.  A
+  from a decision cache keyed by (``Context.key()``, policy generation,
+  context generation, request), so contexts that compare equal share
+  entries; ``engine.decide_many(requests)`` groups duplicate requests
+  so each distinct decision is computed once, with an optional
+  ``workers=N`` process-pool fan-out for cold batches.  A
   request with an unhashable attribute value has no cache key: the PDP
   answers it uncached.
 * **Invalidation** — PAdaP policy updates bump
@@ -27,11 +16,11 @@ generation-based invalidation:
   ``ContextRepository.generation``; the engine folds both counters into
   its decision keys and purges the decision cache when either moves, so
   a stale entry can never be served.
-* **Admission** — results computed under an exhausted budget and
+* **Admission** — decisions computed under an exhausted budget and
   degraded (fallback) decisions are never cached; see
   :func:`repro.engine.caches.admissible`.
 
-Every cache reports ``cache.<name>.{hits,misses,evictions}`` counters
+The cache reports ``cache.decision.{hits,misses,evictions}`` counters
 through the ambient :mod:`repro.telemetry` tracer, and ``engine.*``
 spans wrap the serving operations.
 """
@@ -39,45 +28,23 @@ spans wrap the serving operations.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.asp.grounder import GroundProgram, ground_program
-from repro.asp.parser import parse_program
-from repro.asp.rules import Program
-from repro.asp.solver import AnswerSetSolver, SolveResult, solve
-from repro.asg.semantics import accepts as _asg_accepts
 from repro.agenp.monitoring import DecisionRecord, MonitoringLog
 from repro.agenp.pdp import CompiledPolicySet, PolicyDecisionPoint, evaluate_compiled
 from repro.agenp.repositories import ContextRepository, PolicyRepository
 from repro.core.contexts import Context
-from repro.engine.caches import (
-    GroundCache,
-    LRUCache,
-    MembershipCache,
-    ParseCache,
-    SolveCache,
-)
-from repro.engine.fingerprint import (
-    combine,
-    fingerprint_asg,
-    fingerprint_program,
-    fingerprint_text,
-    fingerprint_tokens,
-)
+from repro.engine.caches import LRUCache
 from repro.policy.model import Decision, Request
-from repro.runtime.budget import Budget
 from repro.telemetry import incr as _tele_incr
 from repro.telemetry import span as _tele_span
 
 __all__ = ["PolicyEngine", "EngineStats"]
 
-_DEFAULT_MAX_STEPS = 50_000_000
-_DEFAULT_MAX_ATOMS = 2_000_000
-
 
 class EngineStats:
-    """A point-in-time snapshot of every cache's counters, plus the
-    process-pool fan-outs that failed and were served serially."""
+    """A point-in-time snapshot of the decision cache's counters, plus
+    the process-pool fan-outs that failed and were served serially."""
 
     __slots__ = ("caches", "decisions", "batches", "pool_failures")
 
@@ -133,19 +100,17 @@ def _decide_group_worker(
 
 
 class PolicyEngine:
-    """High-throughput serving façade over the AGENP substrate.
+    """High-throughput decision serving over a PDP.
 
     Construction takes the same collaborators as
     :class:`~repro.agenp.pdp.PolicyDecisionPoint` (or an existing PDP via
-    ``pdp=``) plus cache-size knobs.  A repository/interpreter pair is
-    only required for the decision path; ``solve*``/``accepts`` work on
-    a bare engine::
+    ``pdp=``) plus the decision cache's size::
 
-        engine = PolicyEngine()                      # solve/membership caching
-        engine = PolicyEngine(repository, interp)    # + PDP decision serving
+        engine = PolicyEngine(repository, interp)
+        engine = PolicyEngine(pdp=ams.pdp, contexts=ams.contexts)
 
-    Setting any ``*_cache_size`` to 0 disables that cache (used by the
-    differential tests and the cold legs of benchmark E15).
+    ``decision_cache_size=0`` disables the cache (the serial leg of
+    benchmark E15).
     """
 
     def __init__(
@@ -156,167 +121,33 @@ class PolicyEngine:
         pdp: Optional[PolicyDecisionPoint] = None,
         contexts: Optional[ContextRepository] = None,
         log: Optional[MonitoringLog] = None,
-        parse_cache_size: int = 512,
-        ground_cache_size: int = 256,
-        solve_cache_size: int = 1024,
-        membership_cache_size: int = 2048,
         decision_cache_size: int = 4096,
         workers: Optional[int] = None,
         **pdp_kwargs: Any,
     ):
-        if pdp is not None:
-            self.pdp: Optional[PolicyDecisionPoint] = pdp
-        elif repository is not None and interpreter is not None:
-            self.pdp = PolicyDecisionPoint(
-                repository, interpreter, log=log, **pdp_kwargs
-            )
-        else:
-            self.pdp = None
+        if pdp is None:
+            if repository is None or interpreter is None:
+                raise ValueError(
+                    "a PolicyEngine needs a decision path: construct it with a "
+                    "policy repository and interpreter, or pdp=..."
+                )
+            pdp = PolicyDecisionPoint(repository, interpreter, log=log, **pdp_kwargs)
+        self.pdp: PolicyDecisionPoint = pdp
         self.contexts = contexts
         self.workers = workers
-        self.parse_cache = ParseCache(parse_cache_size)
-        self.ground_cache = GroundCache(ground_cache_size)
-        self.solve_cache = SolveCache(solve_cache_size)
-        self.membership_cache = MembershipCache(membership_cache_size)
         self.decision_cache: LRUCache = LRUCache(decision_cache_size, name="decision")
         self._decisions_served = 0
         self._batches_served = 0
         self._pool_failures = 0
         # generations the decision cache was built against
         self._seen_generations: Optional[Tuple[int, int]] = None
-        # id-keyed memo for ASG fingerprints (grammars are large; the
-        # strong reference keeps the id stable, mirroring PCP.preflight)
-        self._asg_fps: Dict[int, Tuple[object, str]] = {}
-
-    # -- solve path ---------------------------------------------------------
-
-    def parse(self, text: str) -> Program:
-        """Parse ASP source text through the parse cache."""
-        key = fingerprint_text(text)
-        cached = self.parse_cache.get(key)
-        if cached is not None:
-            return cached
-        program = parse_program(text)
-        self.parse_cache.put(key, program)
-        return program
-
-    def ground(
-        self,
-        program: Program,
-        max_atoms: int = _DEFAULT_MAX_ATOMS,
-        budget: Optional[Budget] = None,
-    ) -> GroundProgram:
-        """Ground ``program`` through the ground cache."""
-        key = (fingerprint_program(program), max_atoms)
-        cached = self.ground_cache.get(key)
-        if cached is not None:
-            return cached
-        ground = ground_program(program, max_atoms=max_atoms, budget=budget)
-        self.ground_cache.put(key, ground, budget=budget)
-        return ground
-
-    def solve(
-        self,
-        program: Program,
-        max_models: Optional[int] = None,
-        budget: Optional[Budget] = None,
-        max_steps: int = _DEFAULT_MAX_STEPS,
-        use_fast_path: bool = True,
-    ) -> SolveResult:
-        """Ground and solve ``program`` through both engine caches.
-
-        Identical in signature and results to
-        :func:`repro.asp.solver.solve`; a warm hit skips parsing,
-        grounding, and solving entirely.
-        """
-        fp = fingerprint_program(program)
-        options = (max_models, max_steps, use_fast_path)
-        key = (fp, options)
-        with _tele_span("engine.solve", fingerprint=fp[:12]) as sp:
-            cached = self.solve_cache.get_result(key)
-            if cached is not None:
-                sp.set(cache="hit")
-                return cached
-            sp.set(cache="miss")
-            ground = self.ground_cache.get((fp, _DEFAULT_MAX_ATOMS))
-            if ground is None:
-                ground = ground_program(program, budget=budget)
-                self.ground_cache.put((fp, _DEFAULT_MAX_ATOMS), ground, budget=budget)
-            solver = AnswerSetSolver(
-                ground, max_steps=max_steps, budget=budget, use_fast_path=use_fast_path
-            )
-            result = solver.solve(max_models=max_models)
-            self.solve_cache.put_result(key, result, budget=budget)
-            return result
-
-    def solve_text(
-        self,
-        text: str,
-        max_models: Optional[int] = None,
-        budget: Optional[Budget] = None,
-        max_steps: int = _DEFAULT_MAX_STEPS,
-        use_fast_path: bool = True,
-    ) -> SolveResult:
-        """Parse, ground, and solve source text through every cache."""
-        return self.solve(
-            self.parse(text),
-            max_models=max_models,
-            budget=budget,
-            max_steps=max_steps,
-            use_fast_path=use_fast_path,
-        )
-
-    # -- membership path ----------------------------------------------------
-
-    def _asg_fingerprint(self, asg) -> str:
-        cached = self._asg_fps.get(id(asg))
-        if cached is not None and cached[0] is asg:
-            return cached[1]
-        fp = fingerprint_asg(asg)
-        self._asg_fps[id(asg)] = (asg, fp)
-        return fp
-
-    def accepts(
-        self,
-        asg,
-        tokens: Sequence[str],
-        max_trees: int = 256,
-        budget: Optional[Budget] = None,
-        use_fast_path: bool = True,
-    ) -> bool:
-        """ASG membership (``tokens in L(G)``) through the membership cache."""
-        key = (
-            self._asg_fingerprint(asg),
-            (fingerprint_tokens(tokens), max_trees, use_fast_path),
-        )
-        cached = self.membership_cache.get(key)
-        if cached is not None:
-            return cached
-        verdict = _asg_accepts(
-            asg,
-            tuple(tokens),
-            max_trees=max_trees,
-            budget=budget,
-            use_fast_path=use_fast_path,
-        )
-        self.membership_cache.put(key, verdict, budget=budget)
-        return verdict
 
     # -- decision path ------------------------------------------------------
-
-    def _require_pdp(self) -> PolicyDecisionPoint:
-        if self.pdp is None:
-            raise ValueError(
-                "this PolicyEngine has no decision path: construct it with a "
-                "policy repository and interpreter (or pdp=...)"
-            )
-        return self.pdp
 
     def _generations(self) -> Tuple[int, int]:
         policy_gen = (
             self.pdp.repository.generation
-            if self.pdp is not None
-            and hasattr(self.pdp.repository, "generation")
+            if hasattr(self.pdp.repository, "generation")
             else -1
         )
         context_gen = (
@@ -336,10 +167,6 @@ class PolicyEngine:
             self._seen_generations = generations
         return generations
 
-    def _context_fingerprint(self, context: Context) -> str:
-        # order-insensitive: contexts compare by rule *set* (Context.__eq__)
-        return combine(sorted(repr(rule) for rule in context.program))
-
     def decide(
         self, request: Request, context: Optional[Context] = None
     ) -> DecisionRecord:
@@ -350,13 +177,13 @@ class PolicyEngine:
         the AGENP feedback loop sees every served decision either way.
         Degraded (fallback) decisions are never admitted to the cache.
         """
-        pdp = self._require_pdp()
+        pdp = self.pdp
         context = context if context is not None else (
             self.contexts.current() if self.contexts is not None else Context.empty()
         )
         generations = self._check_invalidation()
         key = (
-            self._context_fingerprint(context),
+            context.key(),
             (generations, request.key()),
         )
         with _tele_span("engine.decide") as sp:
@@ -395,14 +222,14 @@ class PolicyEngine:
         attribute value is decided by the PDP alone.  Every input request
         still yields its own monitoring record, in input order.
         """
-        pdp = self._require_pdp()
+        pdp = self.pdp
         context = context if context is not None else (
             self.contexts.current() if self.contexts is not None else Context.empty()
         )
         requests = list(requests)
         workers = workers if workers is not None else self.workers
         generations = self._check_invalidation()
-        context_fp = self._context_fingerprint(context)
+        context_key = context.key()
 
         with _tele_span("engine.decide_many", batch=len(requests)) as sp:
             self._batches_served += 1
@@ -429,7 +256,7 @@ class PolicyEngine:
             outcomes: Dict[tuple, Tuple[Decision, str]] = {}
             cold: List[tuple] = []
             for key in order:
-                cache_key = (context_fp, (generations, key))
+                cache_key = (context_key, (generations, key))
                 cached = self.decision_cache.get(cache_key)
                 if cached is not None:
                     outcomes[key] = cached
@@ -446,7 +273,7 @@ class PolicyEngine:
                 for key, outcome in zip(cold, resolved):
                     outcomes[key] = outcome
                     self.decision_cache.put(
-                        (context_fp, (generations, key)), outcome
+                        (context_key, (generations, key)), outcome
                     )
 
             # one monitoring record per input request, in input order
@@ -533,31 +360,14 @@ class PolicyEngine:
     # -- maintenance --------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Manually purge every cache (content caches included)."""
-        for cache in (
-            self.parse_cache,
-            self.ground_cache,
-            self.solve_cache,
-            self.membership_cache,
-            self.decision_cache,
-        ):
-            cache.clear()
+        """Manually purge the decision cache."""
+        self.decision_cache.clear()
         self._seen_generations = None
-        self._asg_fps.clear()
 
     def stats(self) -> EngineStats:
-        """Hit/miss/eviction counters for every cache."""
+        """The decision cache's hit/miss/eviction counters."""
         return EngineStats(
-            {
-                cache.name: cache.stats.as_dict()
-                for cache in (
-                    self.parse_cache,
-                    self.ground_cache,
-                    self.solve_cache,
-                    self.membership_cache,
-                    self.decision_cache,
-                )
-            },
+            {"decision": self.decision_cache.stats.as_dict()},
             self._decisions_served,
             self._batches_served,
             self._pool_failures,

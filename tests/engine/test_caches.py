@@ -1,7 +1,6 @@
 """LRU mechanics, budget-aware admission, and telemetry counters."""
 
-from repro.asp.api import solve_text
-from repro.engine.caches import LRUCache, SolveCache, admissible
+from repro.engine.caches import LRUCache, admissible
 from repro.runtime.budget import Budget, budget_scope
 from repro.telemetry import Tracer, tracer_scope
 
@@ -78,20 +77,6 @@ def test_put_rejects_exhausted_budget_results():
     assert cache.put("a", 1, budget=budget) is False
     assert cache.get("a") is None
     assert cache.stats.rejected == 1
-
-
-def test_solve_cache_returns_fresh_equal_results():
-    cache = SolveCache(4)
-    result = solve_text("a :- not b. b :- not a.")
-    assert cache.put_result("k", result)
-    hit1 = cache.get_result("k")
-    hit2 = cache.get_result("k")
-    assert hit1 is not result and hit1 is not hit2
-    assert list(hit1) == list(result) == list(hit2)
-    assert hit1.stats is result.stats
-    # caller-side mutation cannot corrupt the cache
-    hit1.append("garbage")
-    assert list(cache.get_result("k")) == list(result)
 
 
 def test_counters_flow_into_telemetry():

@@ -1,6 +1,4 @@
-"""The blessed top-level API surface and its deprecation shims."""
-
-import warnings
+"""The blessed top-level API surface."""
 
 import pytest
 
@@ -40,36 +38,20 @@ def test_facade_lint_paths(tmp_path):
 
 
 def test_facade_engine_roundtrip():
-    engine = repro.PolicyEngine()
-    first = engine.solve_text("a. b :- a.")
-    second = engine.solve_text("a. b :- a.")
-    assert list(first) == list(second)
-    assert engine.stats().caches["solve"]["hits"] == 1
+    from repro.agenp import FieldInterpreter, PolicyRepository, StoredPolicy
+    from repro.policy import Decision, Request
 
-
-@pytest.mark.parametrize("name", ["lint_path", "solve", "Engine"])
-def test_deprecated_names_warn_but_work(name):
-    with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-        value = getattr(repro, name)
-    assert value is not None
-
-
-def test_deprecated_names_resolve_to_canonical_objects():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.analysis import lint_path as canonical_lint_path
-        from repro.asp.solver import solve as canonical_solve
-
-        assert repro.Engine is repro.PolicyEngine
-        assert repro.lint_path is canonical_lint_path
-        assert repro.solve is canonical_solve
+    repository = PolicyRepository()
+    repository.add(StoredPolicy(("allow", "alice")))
+    engine = repro.PolicyEngine(repository, FieldInterpreter({1: ("subject", "id")}))
+    request = Request({"subject": {"id": "alice"}})
+    first = engine.decide(request)
+    second = engine.decide(request)
+    assert first.decision == second.decision == Decision.PERMIT
+    assert engine.stats().caches["decision"]["hits"] == 1
 
 
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no attribute"):
         repro.definitely_not_a_name
 
-
-def test_deprecated_names_in_dir():
-    listing = dir(repro)
-    assert "lint_path" in listing and "PolicyEngine" in listing

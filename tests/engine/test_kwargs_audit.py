@@ -12,11 +12,10 @@ import inspect
 
 import pytest
 
-from repro.asp.api import is_satisfiable, is_satisfiable_text, solve_program, solve_text
+from repro.asp import is_satisfiable_text, solve_text
 from repro.asp.parser import parse_program
 from repro.asp.solver import SolveResult, solve
 from repro.asg import accepting_witness, accepts, parse_asg, tree_answer_sets
-from repro.engine import PolicyEngine
 from repro.learning.decomposable import DecomposableLearner
 from repro.learning.ilasp import ILASPLearner
 from repro.learning.tasks import ASGLearningTask, LASTask
@@ -27,21 +26,17 @@ def params(func):
     return set(inspect.signature(func).parameters)
 
 
-@pytest.mark.parametrize(
-    "func", [solve, solve_program, solve_text, PolicyEngine.solve, PolicyEngine.solve_text]
-)
+@pytest.mark.parametrize("func", [solve, solve_text])
 def test_solver_entrypoints_share_knobs(func):
     assert {"max_models", "budget", "max_steps", "use_fast_path"} <= params(func)
 
 
-@pytest.mark.parametrize("func", [is_satisfiable, is_satisfiable_text])
+@pytest.mark.parametrize("func", [is_satisfiable_text])
 def test_satisfiability_entrypoints(func):
     assert {"budget", "use_fast_path"} <= params(func)
 
 
-@pytest.mark.parametrize(
-    "func", [accepts, accepting_witness, PolicyEngine.accepts]
-)
+@pytest.mark.parametrize("func", [accepts, accepting_witness])
 def test_membership_entrypoints(func):
     assert {"max_trees", "budget", "use_fast_path"} <= params(func)
 
@@ -60,7 +55,7 @@ def test_learners_accept_budget(cls):
     assert "budget" in params(cls.__init__)
 
 
-@pytest.mark.parametrize("func", [solve_text, solve_program, solve])
+@pytest.mark.parametrize("func", [solve_text, solve])
 def test_entrypoints_return_solve_result(func):
     program_or_text = "a. b :- a."
     if func is not solve_text:

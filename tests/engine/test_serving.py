@@ -5,7 +5,7 @@ import pytest
 from repro.agenp.interpreters import FieldInterpreter
 from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
 from repro.agenp.repositories import ContextRepository, PolicyRepository, StoredPolicy
-from repro.asg.asg_parser import parse_asg
+from repro.asp.parser import parse_program
 from repro.core.contexts import Context
 from repro.engine import PolicyEngine
 from repro.policy.conflicts import priority_based
@@ -81,15 +81,23 @@ def test_distinct_contexts_are_distinct_keys():
     engine.decide(request(), ctx_a)
     assert engine.decision_cache.stats.hits == 1
     # a context with different content misses even at the same generation
-    from repro.asp.parser import parse_program
-
-    ctx_b = Context(parse_program("weekday."), name="b")
+    ctx_b = Context(parse_program("weekday. daytime."), name="b")
     engine.decide(request(), ctx_b)
     assert engine.decision_cache.stats.misses == 2
+    # contexts that compare equal share one entry: fact order and
+    # repeated facts do not change the key
+    assert Context(parse_program("daytime. weekday. daytime."), name="c") == ctx_b
+    engine.decide(request(), Context(parse_program("daytime. weekday. daytime."), name="c"))
+    assert engine.decision_cache.stats.hits == 2
+    assert len(engine.decision_cache) == 2
+    # a fact added to a context's program after a decision is a new key
+    ctx_b.program.add(parse_program("holiday.").rules[0])
+    engine.decide(request(), ctx_b)
+    assert engine.decision_cache.stats.misses == 3
 
 
 def test_degraded_decisions_are_not_cached():
-    from repro.asp.api import solve_text
+    from repro.asp import solve_text
 
     repository = PolicyRepository()
     repository.add(StoredPolicy(("allow", "alice", "read")))
@@ -205,9 +213,10 @@ def test_a_failing_pool_is_counted(monkeypatch):
 
 
 def test_decide_without_pdp_raises():
-    engine = PolicyEngine()
-    with pytest.raises(ValueError, match="no decision path"):
-        engine.decide(request())
+    with pytest.raises(ValueError, match="needs a decision path"):
+        PolicyEngine()
+    with pytest.raises(ValueError, match="needs a decision path"):
+        PolicyEngine(PolicyRepository())
 
 
 def test_evaluate_compiled_matches_pdp_resolution():
@@ -222,40 +231,23 @@ def test_evaluate_compiled_matches_pdp_resolution():
     assert text == record.policy_text
 
 
-def test_membership_cache():
-    asg = parse_asg(
-        """
-start -> elem { :- value(2)@1. }
-elem -> "x" { value(1). }
-elem -> "y" { value(2). }
-"""
-    )
-    engine = PolicyEngine()
-    assert engine.accepts(asg, ("x",)) is True
-    assert engine.accepts(asg, ("x",)) is True
-    assert engine.accepts(asg, ("y",)) is False
-    assert engine.membership_cache.stats.hits == 1
-    assert engine.membership_cache.stats.misses == 2
-
-
 def test_invalidate_clears_everything():
     engine, __ = make_engine()
-    engine.solve_text("a.")
     engine.decide(request())
     engine.invalidate()
-    assert len(engine.solve_cache) == 0
     assert len(engine.decision_cache) == 0
-    assert len(engine.parse_cache) == 0
+    engine.decide(request())
+    assert engine.decision_cache.stats.misses == 2
 
 
 def test_stats_snapshot():
     engine, __ = make_engine()
-    engine.solve_text("a.")
-    engine.solve_text("a.")
+    engine.decide(request())
     engine.decide(request())
     snapshot = engine.stats()
-    assert snapshot.caches["solve"]["hits"] == 1
+    assert list(snapshot.caches) == ["decision"]
+    assert snapshot.caches["decision"]["hits"] == 1
     assert snapshot.caches["decision"]["misses"] == 1
-    assert snapshot.decisions == 1
-    assert "solve" in repr(snapshot)
-    assert snapshot.as_dict()["decisions"] == 1
+    assert snapshot.decisions == 2
+    assert "decision" in repr(snapshot)
+    assert snapshot.as_dict()["decisions"] == 2
