@@ -20,7 +20,7 @@ For each learned rule we compute, over the training examples:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 from repro.learning.mode_bias import CandidateRule
 
@@ -34,21 +34,6 @@ class RuleConfidence(NamedTuple):
     support: int
     confidence: float
     necessary: bool
-
-
-def _satisfied_counts(task, hypothesis: Sequence[CandidateRule]) -> Tuple[int, int]:
-    """(satisfied, total) examples under ``hypothesis``."""
-    satisfied = 0
-    total = 0
-    for example in task.positive:
-        total += 1
-        if task.positive_holds(hypothesis, example):
-            satisfied += 1
-    for example in task.negative:
-        total += 1
-        if task.negative_holds(hypothesis, example):
-            satisfied += 1
-    return satisfied, total
 
 
 def score_hypothesis(

@@ -13,9 +13,9 @@ not interact:
   positive iff some selected constraint does.
 
 For such tasks coverage decomposes over single candidates, so learning
-reduces to weighted set cover: pre-compute per-candidate coverage
-vectors with single-rule oracle calls (linear in the space), then
-branch-and-bound for the minimum-cost selection.  Because
+reduces to weighted set cover: read per-candidate coverage vectors
+from the oracle's coverage rows (its single-rule verdicts, computed once
+per example), then branch-and-bound for the minimum-cost selection.  Because
 decomposability is an *assumption*, the result is always re-verified
 with the full oracle; on mismatch the caller should fall back to
 :class:`~repro.learning.ilasp.ILASPLearner` (see :func:`learn_auto`).
@@ -114,36 +114,34 @@ class DecomposableLearner:
             weights[example] = weights.get(example, 0) + example.weight
         return list(weights.items())
 
+    def _row(self, example, size: int) -> Tuple[bool, List[bool]]:
+        """The example's coverage row: its empty-hypothesis verdict and,
+        per candidate, its single-candidate verdict.  Counted as the
+        ``1 + size`` checks it stands for."""
+        self._checks += 1 + size
+        base, bits = self.task.coverage_row(example)
+        return base, [digit == "1" for digit in f"{bits:0{size}b}"[::-1][:size]]
+
     def _build_models(self, space: Sequence[CandidateRule]) -> List[_ExampleModel]:
         models: List[_ExampleModel] = []
         for example, weight in self._distinct(self.task.positive):
-            base = self._positive_holds([], example)
-            flags = []
-            for candidate in space:
-                holds = self._positive_holds([candidate], example)
-                if self._constraints_only or base:
-                    flags.append(not holds)  # flag = candidate *breaks* it
-                else:
-                    flags.append(holds)  # flag = candidate covers it
+            base, holds = self._row(example, len(space))
             if self._constraints_only or base:
-                # already satisfied (or constraint-style): stay unbroken
-                models.append(_ExampleModel("needs_none", flags, base, weight))
-            else:
-                bad_flags = self._bad_flags(space, example, flags)
-                models.append(_ExampleModel("needs_one", flags, base, weight, bad_flags))
+                # already satisfied (or constraint-style): stay unbroken;
+                # flag = candidate *breaks* it
+                breaks = [not h for h in holds]
+                models.append(_ExampleModel("needs_none", breaks, base, weight))
+            else:  # flag = candidate covers it
+                bad_flags = self._bad_flags(space, example, holds)
+                models.append(_ExampleModel("needs_one", holds, base, weight, bad_flags))
         for example, weight in self._distinct(self.task.negative):
-            base = self._negative_holds([], example)
-            flags = []
-            for candidate in space:
-                rejected = self._negative_holds([candidate], example)
-                if self._constraints_only:
-                    flags.append(rejected and not base)  # flag = candidate rejects it
-                else:
-                    flags.append(not rejected)  # flag = candidate violates it
-            if self._constraints_only:
-                models.append(_ExampleModel("needs_one", flags, base, weight))
-            else:
-                models.append(_ExampleModel("needs_none", flags, base, weight))
+            # the empty hypothesis rejects it iff it is not covered
+            covered, holds = self._row(example, len(space))
+            if self._constraints_only:  # flag = candidate rejects it
+                rejects = [covered and not h for h in holds]
+                models.append(_ExampleModel("needs_one", rejects, not covered, weight))
+            else:  # flag = candidate violates it
+                models.append(_ExampleModel("needs_none", holds, not covered, weight))
         return models
 
     def _bad_flags(
@@ -196,23 +194,6 @@ class DecomposableLearner:
         return list(merged.values())
 
     # -- search --------------------------------------------------------------
-
-    @staticmethod
-    def _satisfied(model: _ExampleModel, selected: Sequence[int]) -> bool:
-        if model.kind == "needs_one":
-            if any(model.broken_by(i) for i in selected):
-                return False
-            return model.already or any(model.flags[i] for i in selected)
-        return model.already and not any(model.flags[i] for i in selected)
-
-    def _violations(
-        self, selected: Sequence[int], models: Sequence[_ExampleModel]
-    ) -> int:
-        return sum(
-            model.weight
-            for model in models
-            if not self._satisfied(model, selected)
-        )
 
     def _search(
         self, space: Sequence[CandidateRule], models: Sequence[_ExampleModel]

@@ -12,7 +12,8 @@ Two task families, both with *context-dependent* examples:
   ``B ∪ H ∪ C`` covering it, a negative requires none.
 
 Both expose the same oracle interface (``positive_holds`` /
-``negative_holds``) consumed by :mod:`repro.learning.ilasp`.
+``negative_holds`` and ``coverage_row``) consumed by the learners of
+:mod:`repro.learning.ilasp` and :mod:`repro.learning.decomposable`.
 
 The coverage oracle
 -------------------
@@ -35,6 +36,17 @@ exactly the guards of ``H`` assumed true.  Guards that occur in no
 ground rule of the example cannot change its verdict, so each compiled
 example memoises its verdicts keyed by the relevant guards; an example
 with no relevant guard keeps its first verdict and releases its solvers.
+
+``coverage_row(e)`` answers the empty and every single-candidate check
+of ``e`` at once, as ``(base, bits)``: bit ``i`` of the int ``bits`` is
+the verdict of ``{hypothesis_space[i]}``.  It solves only the relevant
+guards, through the same memo as ``holds``, and every other bit is
+``base``.  The row is stored on the compiled example, so it ages with
+it; a learner re-run over an oracle reads it back with no check per
+candidate.  It ticks the ambient budget by, and a learner counts it as,
+the ``1 + len(hypothesis_space)`` checks it stands for.  Rows are the
+source for coverage bitsets: transposed, they give each candidate's set
+of covered examples.
 
 Contexts as assumptions (ASG only): a context of *plain facts* (ground,
 unannotated facts whose predicate heads no rule of the initial grammar
@@ -104,10 +116,11 @@ class _CompiledExample:
     (one per parse tree for ASG examples) with the context externals the
     example assumes in it, the guard indices that occur in them, the
     verdicts found so far keyed by the relevant guards of the
-    hypothesis, the oracle generation of its last check, and the string
-    compile its solvers come from (``None`` when they are its own)."""
+    hypothesis, its coverage row once computed, the oracle generation of
+    its last check, and the string compile its solvers come from
+    (``None`` when they are its own)."""
 
-    __slots__ = ("solvers", "contexts", "relevant", "verdicts", "checked_in", "source")
+    __slots__ = ("solvers", "contexts", "relevant", "verdicts", "row", "checked_in", "source")
 
     def __init__(
         self,
@@ -120,6 +133,7 @@ class _CompiledExample:
         self.contexts = contexts if contexts is not None else [[]] * len(solvers)
         self.relevant = relevant
         self.verdicts: Dict[FrozenSet[int], bool] = {}
+        self.row: Optional[Tuple[bool, int]] = None
         self.checked_in = 0
         self.source = source
 
@@ -136,6 +150,10 @@ class _GuardedOracle:
         for candidate in self.hypothesis_space:
             self._guards.setdefault(candidate, len(self._guards))
         self._guard_atoms = [Atom(_GUARD, [Integer(i)]) for i in range(len(self._guards))]
+        # per guard, the bits of its positions in the space (duplicates share one)
+        self._positions = [0] * len(self._guards)
+        for position, candidate in enumerate(self.hypothesis_space):
+            self._positions[self._guards[candidate]] |= 1 << position
         self._compiled: Dict[object, _CompiledExample] = {}
         self._generation = 0  # bumped by each task built over the oracle
 
@@ -163,10 +181,7 @@ class _GuardedOracle:
         """Does some compiled program of ``example`` have an answer set
         with exactly the guards of ``hypothesis`` assumed?"""
         spend()  # every oracle check ticks the ambient budget
-        compiled = self._compiled.get(example)
-        if compiled is None:  # each oracle kind defines _compile
-            compiled = self._compiled[example] = self._compile(example)
-        compiled.checked_in = self._generation
+        compiled = self._compiled_example(example)
         relevant = compiled.relevant
         try:
             guards = frozenset(
@@ -178,6 +193,32 @@ class _GuardedOracle:
             raise LearningError(
                 f"candidate {error.args[0]!r} is not in the task's hypothesis space"
             ) from None
+        return self._verdict(compiled, guards)
+
+    def coverage_row(self, example) -> Tuple[bool, int]:
+        """``(holds([], example), bits)``, where bit ``i`` of ``bits`` is
+        ``holds([hypothesis_space[i]], example)`` (see the module docstring)."""
+        spend(1 + len(self.hypothesis_space))  # the checks the row stands for
+        compiled = self._compiled_example(example)
+        if compiled.row is None:
+            base = self._verdict(compiled, frozenset())
+            # a guard that occurs in no ground rule of the example has verdict base
+            bits = (1 << len(self.hypothesis_space)) - 1 if base else 0
+            for index in sorted(compiled.relevant):
+                if self._verdict(compiled, frozenset((index,))) != base:
+                    bits ^= self._positions[index]
+            compiled.row = (base, bits)
+        return compiled.row
+
+    def _compiled_example(self, example) -> _CompiledExample:
+        compiled = self._compiled.get(example)
+        if compiled is None:  # each oracle kind defines _compile
+            compiled = self._compiled[example] = self._compile(example)
+        compiled.checked_in = self._generation
+        return compiled
+
+    def _verdict(self, compiled: _CompiledExample, guards: FrozenSet[int]) -> bool:
+        """The memoised verdict of ``compiled`` with exactly ``guards`` assumed."""
         verdict = compiled.verdicts.get(guards)
         if verdict is None:  # a check that raises stores nothing
             assumptions = [self._guard_atoms[index] for index in guards]
@@ -186,7 +227,7 @@ class _GuardedOracle:
                 for solver, context in zip(compiled.solvers, compiled.contexts)
             )
             compiled.verdicts[guards] = verdict
-            if not relevant:  # the only verdict this example can have
+            if not compiled.relevant:  # the only verdict this example can have
                 compiled.solvers, compiled.contexts = [], []
         return verdict
 
@@ -525,6 +566,10 @@ class ASGLearningTask:
     def negative_holds(self, hypothesis: Sequence[CandidateRule], example: ContextExample) -> bool:
         """Check condition 2 of Definition 3: ``s ∉ L(G(C) : H)``."""
         return not self.positive_holds(hypothesis, example)
+
+    def coverage_row(self, example: ContextExample) -> Tuple[bool, int]:
+        """The oracle's :meth:`~_GuardedOracle.coverage_row` of ``example``."""
+        return self.oracle.coverage_row(example)
 
 
 class PartialInterpretation:

@@ -185,15 +185,3 @@ class DomainSchema:
             for (category, attribute), value in zip(keys, combo):
                 attributes.setdefault(category, {})[attribute] = value
             yield Request(attributes)
-
-    def sample_requests(self, n: int, rng) -> Sequence[Request]:
-        """Draw ``n`` uniform random requests (``rng`` is a ``random.Random``)."""
-        out = []
-        keys = self.attributes()
-        for __ in range(n):
-            attributes: Dict[str, Dict[str, AttributeValue]] = {}
-            for category, attribute in keys:
-                pool = list(self.domains[(category, attribute)].values())
-                attributes.setdefault(category, {})[attribute] = rng.choice(pool)
-            out.append(Request(attributes))
-        return out

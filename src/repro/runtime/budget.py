@@ -43,9 +43,9 @@ __all__ = [
     "spend",
 ]
 
-# How many ticks pass between wall-clock checks.  Reading the clock is
-# ~100x the cost of the counter increment, so deadline precision is
-# traded for hot-loop throughput.
+# How many units of work pass between wall-clock checks.  Reading the
+# clock is ~100x the cost of the counter increment, so deadline precision
+# is traded for hot-loop throughput.
 _TIME_CHECK_INTERVAL = 256
 
 
@@ -136,7 +136,7 @@ class Budget:
                 steps_used=self._steps, max_steps=self.max_steps
             )
         if self.deadline is not None:
-            self._until_time_check -= 1
+            self._until_time_check -= n
             if self._until_time_check <= 0:
                 self._until_time_check = _TIME_CHECK_INTERVAL
                 self.deadline.check()

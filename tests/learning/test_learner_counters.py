@@ -8,6 +8,7 @@ a wrapped task receives, and the expected "no solution" verdicts that
 from repro.apps.xacml_case_study import XacmlLearningPipeline
 from repro.asp import parse_atom, parse_program
 from repro.asp.atoms import Atom, Literal
+from repro.asp.solver import AnswerSetSolver
 from repro.asp.terms import Constant
 from repro.asg import parse_asg
 from repro.datasets import default_ground_truth, inject_flips, sample_log
@@ -26,7 +27,7 @@ from repro.telemetry import Tracer, format_summary, summarize, tracer_scope
 
 
 class CountingTask:
-    """Forwards to a task and counts the oracle calls it receives."""
+    """Forwards to a task and counts the oracle checks it receives."""
 
     def __init__(self, task):
         self._task = task
@@ -42,6 +43,11 @@ class CountingTask:
     def negative_holds(self, hypothesis, example):
         self.calls += 1
         return self._task.negative_holds(hypothesis, example)
+
+    def coverage_row(self, example):
+        # one row stands for the empty and every single-candidate check
+        self.calls += len(self._task.hypothesis_space) + 1
+        return self._task.coverage_row(example)
 
 
 def las_task():
@@ -118,6 +124,35 @@ def test_decomposable_checks_include_pair_and_verify_checks():
     examples = len(task.positive) + len(task.negative)
     singletons = (len(task.hypothesis_space) + 1) * examples
     assert result.checks > singletons  # pair checks and verification on top
+
+
+def test_relearning_over_a_task_solves_nothing_to_build_its_models(monkeypatch):
+    solves = []
+    solve = AnswerSetSolver.solve
+
+    def counting_solve(solver, *args, **kwargs):
+        solves.append(solver)
+        return solve(solver, *args, **kwargs)
+
+    build_models = DecomposableLearner._build_models
+    in_build_models = []
+
+    def tracking_build_models(learner, space):
+        before = len(solves)
+        models = build_models(learner, space)
+        in_build_models.append(len(solves) - before)
+        return models
+
+    monkeypatch.setattr(AnswerSetSolver, "solve", counting_solve)
+    monkeypatch.setattr(DecomposableLearner, "_build_models", tracking_build_models)
+    for task in (las_task(), asg_task()):
+        in_build_models.clear()
+        first = DecomposableLearner(task).learn()
+        second = DecomposableLearner(task).learn()
+        assert in_build_models[0] > 0
+        assert in_build_models[1] == 0  # every row is read from the oracle
+        assert second.checks == first.checks
+        assert second.candidates == first.candidates
 
 
 def test_strict_noisy_learning_reports_unsat_not_error():
