@@ -6,7 +6,7 @@ decision cache.  The contract under test:
 * batched decision serving (``decide_many``) resolves each distinct
   request once while still logging one monitoring record per request;
 * a policy update mid-stream flips served decisions immediately (the
-  generation counters purge the decision cache);
+  policy generation counter purges the decision cache);
 * the PDP's indexed decision function (``evaluate_compiled``) answers a
   500-policy set element-for-element like a scan over every policy, at
   **>= 3x** its speed per decision.
@@ -38,7 +38,7 @@ def test_batched_decisions(report, benchmark):
         for i in range(600)
     ]
 
-    serial = PolicyEngine(repository, interpreter, decision_cache_size=0)
+    serial = PolicyDecisionPoint(repository, interpreter)
     start = time.monotonic()
     singles = [serial.decide(r).decision for r in requests]
     serial_s = time.monotonic() - start
@@ -86,7 +86,7 @@ def test_invalidation_end_to_end(report):
     assert set(before) == {Decision.PERMIT}
     assert set(after) == {Decision.DENY}
     report(
-        "E15 — generation-counter invalidation",
+        "E15 — policy-generation invalidation",
         f"50 cached permits, policy update, 50 denies; "
         f"decision cache misses={engine.decision_cache.stats.misses} "
         f"hits={engine.decision_cache.stats.hits}",

@@ -16,8 +16,8 @@ ICDCS 2019), including its substrates:
   conflicts, counterfactual explanations (Sections IV.C, V.A, V.B);
 * :mod:`repro.agenp` - the full Figure 2 architecture, plus the
   multi-party coalition fabric;
-* :mod:`repro.engine` - the high-throughput serving engine
-  (a decision cache and batched PDP decisions);
+* :mod:`repro.engine` - the serving engine (a decision cache in front
+  of the PDP);
 * :mod:`repro.analysis` - static analysis (linting) for policies,
   grammars, and learning tasks;
 * :mod:`repro.telemetry` - structured tracing and profiling;

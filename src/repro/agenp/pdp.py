@@ -77,8 +77,7 @@ class CompiledPolicySet:
     (:func:`_equality_tests`), by the tuple of their match values.  A
     policy with no such test, or with a match value that is not a
     str/int, goes on the ``residual`` list and is a candidate for every
-    request.  The set is immutable and pickles (the engine's process
-    pool ships it to its workers).
+    request.  The set is immutable.
     """
 
     __slots__ = ("policies", "shapes", "residual")
@@ -136,9 +135,8 @@ def evaluate_compiled(
     Returns ``(decision, winning policy text)``.  Only the index
     candidates are matched, in policy order, so the hits, and with them
     every strategy's verdict, equal those of a scan over all policies.
-    :meth:`PolicyDecisionPoint.decide`, its degraded path and the serving
-    engine's batch path (:meth:`repro.engine.PolicyEngine.decide_many`,
-    process-pool workers included) all decide here.
+    :meth:`PolicyDecisionPoint.decide` and its degraded path both decide
+    here.
     """
     policies = compiled.policies
     hits = []
@@ -175,37 +173,24 @@ class PolicyDecisionPoint:
         self.budget_factory = budget_factory
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._compiled = CompiledPolicySet()
-        self._compiled_for: Optional[Tuple[StoredPolicy, ...]] = None
         self._compiled_generation: Optional[int] = None
         # last compiled set that served a decision successfully
         self._last_good: Optional[CompiledPolicySet] = None
 
     def _compile(self) -> CompiledPolicySet:
-        """The compiled policy set, recompiled only when the repository moved.
-
-        Staleness is checked against the repository's ``generation``
-        counter when it has one (O(1), the serving hot path); repositories
-        without a counter fall back to content comparison.
-        """
-        generation = getattr(self.repository, "generation", None)
-        if generation is not None:
-            if generation != self._compiled_generation:
-                current = tuple(self.repository.all())
-                self._compiled = self._interpret(current)
-                self._compiled_for = current
-                self._compiled_generation = generation
-            return self._compiled
-        current = tuple(self.repository.all())
-        if self._compiled_for != current:
-            self._compiled = self._interpret(current)
-            self._compiled_for = current
+        """The compiled policy set, recompiled only when the repository's
+        ``generation`` counter moved."""
+        generation = self.repository.generation
+        if generation != self._compiled_generation:
+            self._compiled = self._interpret(self.repository.all())
+            self._compiled_generation = generation
         return self._compiled
 
     def _interpret(self, policies: Sequence[StoredPolicy]) -> CompiledPolicySet:
         return CompiledPolicySet((p, self.interpreter(p.tokens)) for p in policies)
 
     def compiled(self) -> CompiledPolicySet:
-        """The up-to-date compiled policy set (public, for the engine)."""
+        """The up-to-date compiled policy set."""
         return self._compile()
 
     def _scope(self):

@@ -59,9 +59,9 @@ class PolicyRepository:
 
     Every mutation bumps ``generation``, a monotonic counter the PDP and
     the serving engine (:mod:`repro.engine`) use for O(1) staleness
-    checks and cache invalidation: a PAdaP policy update lands here via
-    ``replace``/``add``/``remove``, so dependent compiled-policy and
-    decision caches are evicted without content comparison.
+    checks: a PAdaP policy update lands here via
+    ``replace``/``add``/``remove``, so the PDP recompiles and the
+    engine's decision cache is cleared without content comparison.
     """
 
     def __init__(self) -> None:
@@ -103,24 +103,13 @@ class PolicyRepository:
 
 
 class RepresentationsRepository:
-    """Versioned storage of learned GPMs.
-
-    ``generation`` counts stores — the PAdaP bumps it on every adapted
-    model, so serving caches keyed on it are evicted when the GPM moves.
-    """
+    """Versioned storage of learned GPMs."""
 
     def __init__(self) -> None:
         self._versions: List[GenerativePolicyModel] = []
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter (bumped by every store)."""
-        return self._generation
 
     def store(self, model: GenerativePolicyModel) -> None:
         self._versions.append(model)
-        self._generation += 1
 
     def latest(self) -> GenerativePolicyModel:
         if not self._versions:
@@ -140,27 +129,19 @@ class RepresentationsRepository:
 class ContextRepository:
     """Named contexts plus the AMS's current operating context.
 
-    ``generation`` is bumped by every ``store`` and every *effective*
-    ``set_current`` — any context change may alter which policies are
-    valid, so serving caches keyed on it (see :mod:`repro.engine`) are
-    evicted.
+    A context change alters which policies are valid only through the
+    policy set it regenerates, so the policy repository's ``generation``
+    is the one counter the PDP and the serving engine watch.
     """
 
     def __init__(self) -> None:
         self._contexts: Dict[str, Context] = {}
         self._current: Optional[str] = None
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter (bumped by every write)."""
-        return self._generation
 
     def store(self, context: Context) -> None:
         if not context.name:
             raise AgenpError("contexts stored in the repository must be named")
         self._contexts[context.name] = context
-        self._generation += 1
 
     def get(self, name: str) -> Context:
         try:
@@ -171,9 +152,7 @@ class ContextRepository:
     def set_current(self, name: str) -> None:
         if name not in self._contexts:
             raise AgenpError(f"no context named {name!r}")
-        if self._current != name:
-            self._current = name
-            self._generation += 1
+        self._current = name
 
     def current(self) -> Context:
         if self._current is None:

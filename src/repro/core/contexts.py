@@ -81,13 +81,12 @@ class Context:
         inner = " ".join(f"{a!r}." for a in self.facts())
         return f"Context({label}{inner})"
 
-    def key(self) -> FrozenSet[str]:
-        """The context's identity: its set of rules, so rule order and
-        repeated facts do not count.  Equality and hashing use it."""
+    def _rules(self) -> FrozenSet[str]:
+        # rule order and repeated facts do not change a context
         return frozenset(map(repr, self.program))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Context) and self.key() == other.key()
+        return isinstance(other, Context) and self._rules() == other._rules()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._rules())

@@ -81,12 +81,7 @@ def admissible(budget: Optional[Budget] = None) -> bool:
 
 
 class LRUCache(Generic[K, V]):
-    """A bounded least-recently-used mapping with telemetry counters.
-
-    ``max_entries <= 0`` disables the cache entirely (every lookup
-    misses, nothing is stored) — the switch the engine's
-    ``decision_cache_size=0`` knob uses.
-    """
+    """A bounded least-recently-used mapping with telemetry counters."""
 
     def __init__(self, max_entries: int, name: str = "lru"):
         self.max_entries = max_entries
@@ -113,12 +108,10 @@ class LRUCache(Generic[K, V]):
         return entry
 
     def put(self, key: K, value: V, budget: Optional[Budget] = None) -> bool:
-        """Admit ``value`` unless disabled or the budget disallows it.
+        """Admit ``value`` unless the budget disallows it.
 
         Returns True iff the value was stored.
         """
-        if self.max_entries <= 0:
-            return False
         if not admissible(budget):
             self.stats.rejected += 1
             _tele_incr(f"cache.{self.name}.rejected")

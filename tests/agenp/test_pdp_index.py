@@ -5,17 +5,17 @@ the set in order, as the PDP did before its policy set was indexed.
 Seeded random policy sets and requests must give the same hits (the
 same policy, rule and decision objects, in the same order) and the same
 ``(decision, policy_text)`` through :func:`evaluate_compiled`, the
-PDP's own and degraded paths, and the engine's batch path.
+PDP's own and degraded paths, and the serving engine.
 """
 
-import pickle
 import random
 
 import pytest
 
 from repro.agenp.interpreters import FieldInterpreter
 from repro.agenp.pdp import CompiledPolicySet, PolicyDecisionPoint, evaluate_compiled
-from repro.agenp.repositories import PolicyRepository, StoredPolicy
+from repro.agenp.repositories import ContextRepository, PolicyRepository, StoredPolicy
+from repro.core.contexts import Context
 from repro.engine import PolicyEngine
 from repro.errors import BudgetExceededError
 from repro.policy.conflicts import (
@@ -256,16 +256,7 @@ def test_missing_attribute_and_unhashable_value():
     assert evaluate_compiled(compiled, unhashable) == (Decision.DENY, "")
 
 
-def test_compiled_set_pickles():
-    rng = random.Random(5)
-    pairs = random_policy_set(rng, 40)
-    compiled = pickle.loads(pickle.dumps(CompiledPolicySet(pairs)))
-    for __ in range(100):
-        request = random_request(rng)
-        assert evaluate_compiled(compiled, request) == linear_evaluate(pairs, request)
-
-
-# -- the PDP, its degraded path and the engine's batch path --------------------
+# -- the PDP, its degraded path and the serving engine -------------------------
 
 
 def _repository(pairs):
@@ -318,14 +309,71 @@ def test_degraded_path_uses_last_good_set():
         assert (record.decision, record.policy_text) == expected
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_decide_many_matches_linear_scan(workers):
+def test_decide_many_matches_linear_scan():
     rng = random.Random(11)
     pairs = random_policy_set(rng, 50)
     repository, table = _repository(pairs)
     engine = PolicyEngine(repository, table.__getitem__)
     requests = [random_request(rng) for __ in range(120)]
-    records = engine.decide_many(requests, workers=workers)
+    records = engine.decide_many(requests)
     assert [(r.decision, r.policy_text) for r in records] == [
         linear_evaluate(pairs, request) for request in requests
     ]
+
+
+def _outcome(record):
+    return record.decision, record.policy_text, record.degraded
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_engine_decides_like_a_fresh_pdp(seed):
+    """Interleaved ``decide``, ``decide_many``, policy writes and context
+    switches: every engine record matches a PDP compiled from scratch,
+    and a context switch with no policy change keeps the cache."""
+    rng = random.Random(200 + seed)
+    pairs = random_policy_set(rng, 60)
+    table = {stored.tokens: policy for stored, policy in pairs}
+    repository = PolicyRepository()
+    for stored, __ in pairs[:30]:
+        repository.add(stored)
+    contexts = ContextRepository()
+    contexts.store(Context.empty("quiet"))
+    contexts.store(Context.from_attributes({"alert": True}, name="alert"))
+    contexts.set_current("quiet")
+    engine = PolicyEngine(repository, table.__getitem__, contexts=contexts)
+    stats = engine.decision_cache.stats
+    pool = [random_request(rng, unhashable=index % 10 == 0) for index in range(25)]
+    hashable = [request for index, request in enumerate(pool) if index % 10]
+
+    def check(records, requests):
+        fresh = PolicyDecisionPoint(repository, table.__getitem__)
+        assert len(records) == len(requests)
+        for record, request in zip(records, requests):
+            assert record.request is request
+            assert record.context == contexts.current()
+            assert _outcome(record) == _outcome(fresh.decide(request))
+
+    switches = 0
+    for __ in range(150):
+        roll = rng.random()
+        if roll < 0.35:
+            request = rng.choice(pool)
+            check([engine.decide(request)], [request])
+        elif roll < 0.6:
+            batch = rng.choices(pool, k=rng.randint(0, 8))
+            check(engine.decide_many(batch), batch)
+        elif roll < 0.7:
+            repository.add(rng.choice(pairs)[0])
+        elif roll < 0.8 and len(repository):
+            repository.remove(rng.choice(repository.all()))
+        else:
+            request = rng.choice(hashable)
+            engine.decide(request)
+            hits, misses = stats.hits, stats.misses
+            other = "alert" if contexts.current().name == "quiet" else "quiet"
+            contexts.set_current(other)
+            switches += 1
+            record = engine.decide(request)
+            assert (stats.hits, stats.misses) == (hits + 1, misses)
+            check([record], [request])
+    assert switches and stats.hits and stats.misses and stats.evictions

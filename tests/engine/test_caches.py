@@ -17,13 +17,6 @@ def test_lru_get_put_and_eviction_order():
     assert cache.stats.evictions == 1
 
 
-def test_disabled_cache_stores_nothing():
-    cache = LRUCache(0, name="t")
-    assert cache.put("a", 1) is False
-    assert cache.get("a") is None
-    assert len(cache) == 0
-
-
 def test_stats_counters_and_hit_rate():
     cache = LRUCache(4, name="t")
     cache.put("a", 1)

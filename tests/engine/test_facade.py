@@ -48,7 +48,7 @@ def test_facade_engine_roundtrip():
     first = engine.decide(request)
     second = engine.decide(request)
     assert first.decision == second.decision == Decision.PERMIT
-    assert engine.stats().caches["decision"]["hits"] == 1
+    assert engine.decision_cache.stats.hits == 1
 
 
 def test_unknown_attribute_still_raises():

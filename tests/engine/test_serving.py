@@ -4,14 +4,11 @@ import pytest
 
 from repro.agenp.interpreters import FieldInterpreter
 from repro.agenp.pdp import PolicyDecisionPoint, evaluate_compiled
-from repro.agenp.repositories import ContextRepository, PolicyRepository, StoredPolicy
-from repro.asp.parser import parse_program
-from repro.core.contexts import Context
+from repro.agenp.repositories import PolicyRepository, StoredPolicy
 from repro.engine import PolicyEngine
-from repro.policy.conflicts import priority_based
+from repro.errors import BudgetExceededError
 from repro.policy.model import Decision, Request
 from repro.runtime.budget import Budget
-from repro.telemetry import Tracer, tracer_scope
 
 
 def make_engine(**kwargs):
@@ -59,43 +56,6 @@ def test_policy_update_invalidates_decisions():
     assert engine.decide(request()).decision == Decision.PERMIT
 
 
-def test_context_change_invalidates_decisions():
-    contexts = ContextRepository()
-    contexts.store(Context.empty("base"))
-    contexts.store(Context.empty("field"))
-    contexts.set_current("base")
-    engine, __ = make_engine(contexts=contexts)
-    engine.decide(request())
-    assert engine.decision_cache.stats.misses == 1
-    engine.decide(request())
-    assert engine.decision_cache.stats.hits == 1
-    contexts.set_current("field")
-    engine.decide(request())  # repository generation moved: cache purged
-    assert engine.decision_cache.stats.misses == 2
-
-
-def test_distinct_contexts_are_distinct_keys():
-    engine, __ = make_engine()
-    ctx_a = Context.empty("a")
-    engine.decide(request(), ctx_a)
-    engine.decide(request(), ctx_a)
-    assert engine.decision_cache.stats.hits == 1
-    # a context with different content misses even at the same generation
-    ctx_b = Context(parse_program("weekday. daytime."), name="b")
-    engine.decide(request(), ctx_b)
-    assert engine.decision_cache.stats.misses == 2
-    # contexts that compare equal share one entry: fact order and
-    # repeated facts do not change the key
-    assert Context(parse_program("daytime. weekday. daytime."), name="c") == ctx_b
-    engine.decide(request(), Context(parse_program("daytime. weekday. daytime."), name="c"))
-    assert engine.decision_cache.stats.hits == 2
-    assert len(engine.decision_cache) == 2
-    # a fact added to a context's program after a decision is a new key
-    ctx_b.program.add(parse_program("holiday.").rules[0])
-    engine.decide(request(), ctx_b)
-    assert engine.decision_cache.stats.misses == 3
-
-
 def test_degraded_decisions_are_not_cached():
     from repro.asp import solve_text
 
@@ -131,6 +91,43 @@ def test_decide_many_groups_duplicates():
     assert engine.decision_cache.stats.misses == 2
 
 
+def test_decide_many_degrades_like_decide():
+    """A resource error while the PDP recompiles degrades every batched
+    decision to the last-known-good set, exactly as ``decide`` does, and
+    each failure reaches the PDP's breaker."""
+    repository = PolicyRepository()
+    repository.add(StoredPolicy(("allow", "alice", "read")))
+    repository.add(StoredPolicy(("deny", "bob", "write")))
+    inner = FieldInterpreter({1: ("subject", "id"), 2: ("action", "id")})
+    broken = {"on": False}
+
+    def interpreter(tokens):
+        if broken["on"]:
+            raise BudgetExceededError("interpretation over budget")
+        return inner(tokens)
+
+    batched = PolicyEngine(repository, interpreter)
+    single = PolicyEngine(repository, interpreter)
+    assert not batched.decide(request()).degraded
+    assert not single.decide(request()).degraded
+    broken["on"] = True
+    repository.add(StoredPolicy(("deny", "alice", "read")))
+    batch = [request(), request("bob", "write"), request("eve", "ls"), request()]
+    records = batched.decide_many(batch)
+    singles = [single.decide(r) for r in batch]
+    assert [(r.decision, r.policy_text, r.degraded, r.note) for r in records] == [
+        (r.decision, r.policy_text, r.degraded, r.note) for r in singles
+    ]
+    # the last-known-good set predates the new deny
+    assert [r.decision for r in records] == [
+        Decision.PERMIT, Decision.DENY, Decision.DENY, Decision.PERMIT
+    ]
+    assert all(r.degraded and "last-known-good" in r.note for r in records)
+    failures = batched.pdp.breaker.total_failures
+    assert failures == single.pdp.breaker.total_failures > 0
+    assert len(batched.decision_cache) == 0
+
+
 def test_decide_many_matches_decide():
     engine_a, __ = make_engine()
     engine_b, __ = make_engine()
@@ -138,22 +135,6 @@ def test_decide_many_matches_decide():
     singles = [engine_a.decide(r).decision for r in batch]
     batched = [r.decision for r in engine_b.decide_many(batch)]
     assert singles == batched
-
-
-def test_decide_many_with_workers():
-    engine, __ = make_engine()
-    batch = [request(f"user{i % 9}", "read") for i in range(36)]
-    records = engine.decide_many(batch, workers=2)
-    assert len(records) == 36
-    expected = {
-        "alice": Decision.PERMIT,
-    }
-    for req, record in zip(batch, records):
-        want = expected.get(req.get("subject", "id"), Decision.DENY)
-        assert record.decision == want
-    # warm repeat: served from cache entirely
-    engine.decide_many(batch, workers=2)
-    assert engine.decision_cache.stats.misses == 9
 
 
 def test_unhashable_request_gets_the_pdp_answer():
@@ -171,45 +152,6 @@ def test_unhashable_request_gets_the_pdp_answer():
     # every request is still logged; the unhashable ones bypass the cache
     assert len(engine.pdp.log.records()) == 4
     assert len(engine.decision_cache) == 1
-
-
-def test_unpicklable_strategy_never_starts_a_pool(monkeypatch):
-    import concurrent.futures
-
-    started = []
-
-    def recording_pool(*args, **kwargs):
-        started.append(args)
-        raise OSError("a pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-    strategy = priority_based({})
-    batch = [request(f"user{i % 9}", "read") for i in range(36)] + [request()]
-    pooled, __ = make_engine(strategy=strategy)
-    serial, __ = make_engine(strategy=strategy)
-    pooled_records = pooled.decide_many(batch, workers=2)
-    serial_records = serial.decide_many(batch)
-    assert [(r.decision, r.policy_text) for r in pooled_records] == [
-        (r.decision, r.policy_text) for r in serial_records
-    ]
-    assert not started and pooled.stats().pool_failures == 0
-
-
-def test_a_failing_pool_is_counted(monkeypatch):
-    import concurrent.futures
-
-    def broken_pool(*args, **kwargs):
-        raise OSError("no processes")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
-    engine, __ = make_engine()
-    batch = [request(f"user{i % 9}", "read") for i in range(36)]
-    with tracer_scope(Tracer()) as tracer:
-        records = engine.decide_many(batch, workers=2)
-    assert [r.decision for r in records] == [Decision.DENY] * 36
-    assert engine.stats().pool_failures == 1
-    assert engine.stats().as_dict()["pool_failures"] == 1
-    assert tracer.metrics.counters["engine.pool_failures"] == 1
 
 
 def test_decide_without_pdp_raises():
@@ -244,10 +186,8 @@ def test_stats_snapshot():
     engine, __ = make_engine()
     engine.decide(request())
     engine.decide(request())
-    snapshot = engine.stats()
-    assert list(snapshot.caches) == ["decision"]
-    assert snapshot.caches["decision"]["hits"] == 1
-    assert snapshot.caches["decision"]["misses"] == 1
-    assert snapshot.decisions == 2
-    assert "decision" in repr(snapshot)
-    assert snapshot.as_dict()["decisions"] == 2
+    stats = engine.decision_cache.stats
+    assert engine.decision_cache.name == "decision"
+    assert (stats.hits, stats.misses, stats.lookups) == (1, 1, 2)
+    assert stats.as_dict()["hit_rate"] == 0.5
+    assert "hits=1 misses=1" in repr(stats)
