@@ -13,9 +13,11 @@ not interact:
   positive iff some selected constraint does.
 
 For such tasks coverage decomposes over single candidates, so learning
-reduces to weighted set cover: read per-candidate coverage vectors
-from the oracle's coverage rows (its single-rule verdicts, computed once
-per example), then branch-and-bound for the minimum-cost selection.  Because
+reduces to weighted set cover.  Each example's model is read from the
+oracle's coverage row (its single-rule verdicts, computed once per
+example) and kept as int bitsets over the space, bit ``i`` for candidate
+``i``; the branch-and-bound search for the minimum-cost selection tests,
+intersects and counts them with ``&`` and popcount.  Because
 decomposability is an *assumption*, the result is always re-verified
 with the full oracle; on mismatch the caller should fall back to
 :class:`~repro.learning.ilasp.ILASPLearner` (see :func:`learn_auto`).
@@ -38,36 +40,43 @@ from repro.telemetry import span as _tele_span
 __all__ = ["DecomposableLearner", "learn_auto"]
 
 
+MAX_NODES = 200_000
+"""Search nodes per learn.  Past it the search returns its best-so-far
+and counts ``learner.node_limit_hits`` on the ``learn.decomposable`` span."""
+
+
+def _indices(bits: int) -> List[int]:
+    """The set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 class _ExampleModel:
     """How one example constrains candidate selection.
 
-    ``needs_one`` examples are satisfied when at least one selected
-    candidate has its (good) flag set (or ``already`` — satisfied by the
-    empty hypothesis) *and* no selected candidate has its ``bad_flags``
-    bit set (a candidate may derive a decision the example excludes,
-    breaking it regardless of coverage).  ``needs_none`` examples are
-    satisfied when no selected candidate has its flag set (and
-    ``already`` must hold for the empty hypothesis).
+    ``flags`` and ``bad`` are bitsets over the hypothesis space: bit
+    ``i`` stands for candidate ``i``.  ``needs_one`` examples are
+    satisfied when at least one selected candidate has its ``flags`` bit
+    set (or ``already`` — satisfied by the empty hypothesis) *and* no
+    selected candidate has its ``bad`` bit set (a candidate may derive a
+    decision the example excludes, breaking it regardless of coverage).
+    ``needs_none`` examples are satisfied when no selected candidate has
+    its ``flags`` bit set (and ``already`` must hold for the empty
+    hypothesis).
     """
 
-    __slots__ = ("kind", "flags", "bad_flags", "already", "weight")
+    __slots__ = ("kind", "flags", "bad", "already", "weight")
 
-    def __init__(
-        self,
-        kind: str,
-        flags: List[bool],
-        already: bool,
-        weight: int,
-        bad_flags: Optional[List[bool]] = None,
-    ):
+    def __init__(self, kind: str, flags: int, already: bool, weight: int, bad: int = 0):
         self.kind = kind
         self.flags = flags
-        self.bad_flags = bad_flags
+        self.bad = bad
         self.already = already
         self.weight = weight
-
-    def broken_by(self, index: int) -> bool:
-        return self.bad_flags is not None and self.bad_flags[index]
 
 
 class DecomposableLearner:
@@ -78,13 +87,11 @@ class DecomposableLearner:
         task,
         max_rules: int = 6,
         max_violations: int = 0,
-        max_nodes: int = 200_000,
         budget: Optional[Budget] = None,
     ):
         self.task = task
         self.max_rules = max_rules
         self.max_violations = max_violations
-        self.max_nodes = max_nodes
         self.budget = budget
         self._constraints_only = task.constraints_only()
         # oracle calls made by the last learn(), reported as ``checks``
@@ -114,62 +121,50 @@ class DecomposableLearner:
             weights[example] = weights.get(example, 0) + example.weight
         return list(weights.items())
 
-    def _row(self, example, size: int) -> Tuple[bool, List[bool]]:
-        """The example's coverage row: its empty-hypothesis verdict and,
-        per candidate, its single-candidate verdict.  Counted as the
+    def _row(self, example, size: int) -> Tuple[bool, int]:
+        """The example's coverage row: its empty-hypothesis verdict and
+        the bitset of its single-candidate verdicts.  Counted as the
         ``1 + size`` checks it stands for."""
         self._checks += 1 + size
-        base, bits = self.task.coverage_row(example)
-        return base, [digit == "1" for digit in f"{bits:0{size}b}"[::-1][:size]]
+        return self.task.coverage_row(example)
 
     def _build_models(self, space: Sequence[CandidateRule]) -> List[_ExampleModel]:
+        full = (1 << len(space)) - 1
         models: List[_ExampleModel] = []
         for example, weight in self._distinct(self.task.positive):
             base, holds = self._row(example, len(space))
             if self._constraints_only or base:
                 # already satisfied (or constraint-style): stay unbroken;
                 # flag = candidate *breaks* it
-                breaks = [not h for h in holds]
-                models.append(_ExampleModel("needs_none", breaks, base, weight))
+                models.append(_ExampleModel("needs_none", holds ^ full, base, weight))
             else:  # flag = candidate covers it
-                bad_flags = self._bad_flags(space, example, holds)
-                models.append(_ExampleModel("needs_one", holds, base, weight, bad_flags))
+                bad = self._bad_flags(space, example, holds)
+                models.append(_ExampleModel("needs_one", holds, base, weight, bad))
         for example, weight in self._distinct(self.task.negative):
             # the empty hypothesis rejects it iff it is not covered
             covered, holds = self._row(example, len(space))
             if self._constraints_only:  # flag = candidate rejects it
-                rejects = [covered and not h for h in holds]
+                rejects = holds ^ full if covered else 0
                 models.append(_ExampleModel("needs_one", rejects, not covered, weight))
             else:  # flag = candidate violates it
                 models.append(_ExampleModel("needs_none", holds, not covered, weight))
         return models
 
-    def _bad_flags(
-        self,
-        space: Sequence[CandidateRule],
-        example,
-        good_flags: List[bool],
-    ) -> Optional[List[bool]]:
-        """Per-candidate "breaks this example" flags for union-semantics
-        tasks: candidate c breaks example e when pairing c with a known
-        covering candidate g still fails (so c derives something e
-        excludes).  Requires at least one covering candidate; without
-        one the example is hopeless anyway and bad flags are moot."""
-        witness = None
-        for index, good in enumerate(good_flags):
-            if good:
-                witness = space[index]
-                break
-        if witness is None:
-            return None
-        bad = []
+    def _bad_flags(self, space: Sequence[CandidateRule], example, good: int) -> int:
+        """The "breaks this example" bitset for union-semantics tasks:
+        candidate c breaks example e when pairing c with a known covering
+        candidate g still fails (so c derives something e excludes).
+        Requires at least one covering candidate; without one the
+        example is hopeless anyway and bad flags are moot."""
+        if not good:
+            return 0
+        witness = space[(good & -good).bit_length() - 1]
+        bad = 0
         for index, candidate in enumerate(space):
-            if good_flags[index] or candidate is witness:
-                bad.append(False)
+            if good >> index & 1 or candidate is witness:
                 continue
-            bad.append(
-                not self._positive_holds([witness, candidate], example)
-            )
+            if not self._positive_holds([witness, candidate], example):
+                bad |= 1 << index
         return bad
 
     @staticmethod
@@ -178,16 +173,11 @@ class DecomposableLearner:
         entries are common in sampled datasets)."""
         merged: dict = {}
         for model in models:
-            key = (
-                model.kind,
-                tuple(model.flags),
-                tuple(model.bad_flags) if model.bad_flags is not None else None,
-                model.already,
-            )
+            key = (model.kind, model.flags, model.bad, model.already)
             existing = merged.get(key)
             if existing is None:
                 merged[key] = _ExampleModel(
-                    model.kind, model.flags, model.already, model.weight, model.bad_flags
+                    model.kind, model.flags, model.already, model.weight, model.bad
                 )
             else:
                 existing.weight += model.weight
@@ -197,7 +187,7 @@ class DecomposableLearner:
 
     def _search(
         self, space: Sequence[CandidateRule], models: Sequence[_ExampleModel]
-    ) -> Optional[List[int]]:
+    ) -> Tuple[Optional[List[int]], bool]:
         """Branch-and-bound set cover, branching on uncovered examples.
 
         At each node, pick the unsatisfied needs-one example with the
@@ -205,11 +195,12 @@ class DecomposableLearner:
         covering it, and (b) skipping it when the violation budget
         allows.  Depth is bounded by ``max_rules`` selections plus the
         budgeted skips, so the search stays polynomial in practice.
+        Returns the best selection and whether ``MAX_NODES`` cut it off.
         """
         needs_one = [m for m in models if m.kind == "needs_one" and not m.already]
         best: Optional[List[int]] = None
         best_cost = float("inf")
-        nodes = [0]
+        nodes = 0
 
         # Greedy warm start: a quick feasible cover gives the B&B a tight
         # upper bound to prune against.
@@ -218,59 +209,52 @@ class DecomposableLearner:
             best = greedy
             best_cost = sum(space[i].cost for i in greedy)
 
-        def node_violations(selected: List[int], skipped_weight: int) -> int:
+        def node_violations(mask: int, skipped_weight: int) -> int:
             # skips + needs_none violations + needs_one examples broken
             # by the current selection
             total = skipped_weight
             for model in models:
                 if model.kind == "needs_none":
-                    if not model.already or any(model.flags[i] for i in selected):
+                    if not model.already or model.flags & mask:
                         total += model.weight
-                elif any(model.broken_by(i) for i in selected):
+                elif model.bad & mask:
                     total += model.weight
             return total
 
-        def dfs(selected: List[int], cost: float, skipped: List[_ExampleModel], skipped_weight: int) -> None:
-            nonlocal best, best_cost
-            nodes[0] += 1
-            if nodes[0] > self.max_nodes or cost >= best_cost:
+        def dfs(selected: List[int], mask: int, cost: float, skipped: List[_ExampleModel], skipped_weight: int) -> None:
+            nonlocal best, best_cost, nodes
+            nodes += 1
+            if nodes > MAX_NODES or cost >= best_cost:
                 return
-            if node_violations(selected, skipped_weight) > self.max_violations:
+            if node_violations(mask, skipped_weight) > self.max_violations:
                 return
+            # broken examples are counted above, not left to cover
             uncovered = [
-                m
-                for m in needs_one
-                if m not in skipped
-                and not any(m.flags[i] for i in selected)
-                and not any(m.broken_by(i) for i in selected)  # broken = counted above
+                m for m in needs_one if m not in skipped and not (m.flags | m.bad) & mask
             ]
             if not uncovered:
                 best = list(selected)
                 best_cost = cost
                 return
-            # branch on the hardest example (fewest coverers)
-            def coverer_count(model: _ExampleModel) -> int:
-                return sum(
-                    1 for i in range(len(space)) if model.flags[i] and i not in selected
-                )
-
-            example = min(uncovered, key=coverer_count)
+            # branch on the hardest example (fewest coverers); popcount
+            # as bin().count, since int.bit_count() needs Python 3.10
+            free = ~mask
+            example = min(uncovered, key=lambda m: bin(m.flags & free).count("1"))
             coverers = sorted(
-                (i for i in range(len(space)) if example.flags[i] and i not in selected),
-                key=lambda i: space[i].cost,
+                _indices(example.flags & free), key=lambda i: space[i].cost
             )[:16]  # beam cap: bounded branching, greedy bound keeps quality
             if len(selected) < self.max_rules:
                 for index in coverers:
                     selected.append(index)
-                    dfs(selected, cost + space[index].cost, skipped, skipped_weight)
+                    dfs(selected, mask | 1 << index, cost + space[index].cost, skipped, skipped_weight)
                     selected.pop()
             if skipped_weight + example.weight <= self.max_violations:
                 skipped.append(example)
-                dfs(selected, cost, skipped, skipped_weight + example.weight)
+                dfs(selected, mask, cost, skipped, skipped_weight + example.weight)
                 skipped.pop()
 
-        dfs([], 0.0, [], 0)
-        return best
+        dfs([], 0, 0.0, [], 0)
+        return best, nodes > MAX_NODES
 
     def _greedy(
         self,
@@ -286,14 +270,12 @@ class DecomposableLearner:
         if self.max_violations > 0:
             return None
         selected: List[int] = []
-        uncovered = [m for m in needs_one]
+        uncovered = list(needs_one)
         while uncovered and len(selected) < self.max_rules:
             best_index = None
             best_ratio = 0.0
-            for index in range(len(space)):
-                if index in selected:
-                    continue
-                gain = sum(m.weight for m in uncovered if m.flags[index])
+            for index in range(len(space)):  # a selected index gains nothing
+                gain = sum(m.weight for m in uncovered if m.flags >> index & 1)
                 if gain <= 0:
                     continue
                 ratio = gain / space[index].cost
@@ -303,7 +285,7 @@ class DecomposableLearner:
             if best_index is None:
                 return None
             selected.append(best_index)
-            uncovered = [m for m in uncovered if not m.flags[best_index]]
+            uncovered = [m for m in uncovered if not m.flags >> best_index & 1]
         if uncovered:
             return None
         # needs_none examples must also hold (candidates are pre-filtered
@@ -331,7 +313,7 @@ class DecomposableLearner:
                 )
             self._checks = 0
             try:
-                result = self._learn()
+                result = self._learn(sp)
             finally:
                 sp.incr("learner.checks", self._checks)
             sp.incr("learner.hypotheses_learned")
@@ -342,7 +324,7 @@ class DecomposableLearner:
             )
             return result
 
-    def _learn(self) -> LearnedHypothesis:
+    def _learn(self, sp) -> LearnedHypothesis:
         start = time.monotonic()
         space = list(self.task.hypothesis_space)
         models = self._dedupe(self._build_models(space))
@@ -351,40 +333,24 @@ class DecomposableLearner:
         # example's flag, or a needs_one example's bad flag), unless a
         # violation budget could absorb it (then keep them in play).
         if self.max_violations == 0:
-            def breaks_something(i: int) -> bool:
-                for m in models:
-                    if m.kind == "needs_none" and m.flags[i]:
-                        return True
-                    if m.kind == "needs_one" and m.broken_by(i):
-                        return True
-                return False
+            breaking = 0
+            for m in models:
+                breaking |= m.flags if m.kind == "needs_none" else m.bad
+            for m in models:
+                m.flags &= ~breaking
+                m.bad &= ~breaking
 
-            allowed = [i for i in range(len(space)) if not breaks_something(i)]
-            space_f = [space[i] for i in allowed]
-            models_f = [
-                _ExampleModel(
-                    m.kind,
-                    [m.flags[i] for i in allowed],
-                    m.already,
-                    m.weight,
-                    [m.bad_flags[i] for i in allowed]
-                    if m.bad_flags is not None
-                    else None,
-                )
-                for m in models
-            ]
-        else:
-            space_f, models_f = space, models
-
-        selected = self._search(space_f, models_f)
+        selected, node_limit_hit = self._search(space, models)
+        if node_limit_hit:
+            sp.incr("learner.node_limit_hits")
         if selected is None:
             raise UnsatisfiableTaskError(
                 "no decomposable hypothesis within limits "
                 f"({self.max_rules} rules, {self.max_violations} violations)"
             )
-        hypothesis = [space_f[i] for i in selected]
+        hypothesis = [space[i] for i in selected]
         violations = self._verify(hypothesis)
-        if violations is None or violations > self.max_violations:
+        if violations > self.max_violations:
             raise LearningError(
                 "decomposability assumption failed verification; "
                 "use the exact learner (learn_auto falls back automatically)"
@@ -398,7 +364,7 @@ class DecomposableLearner:
             space_size=len(space),
         )
 
-    def _verify(self, hypothesis: Sequence[CandidateRule]) -> Optional[int]:
+    def _verify(self, hypothesis: Sequence[CandidateRule]) -> int:
         """Full-oracle violation count for the found hypothesis."""
         total = 0
         for example, weight in self._distinct(self.task.positive):

@@ -5,6 +5,8 @@ learner; on non-decomposable ones it detects the mismatch and
 ``learn_auto`` falls back.
 """
 
+import random
+
 import pytest
 
 from repro.asp import parse_atom, parse_program
@@ -17,7 +19,10 @@ from repro.learning import (
     ContextExample,
     DecomposableLearner,
     LASTask,
+    ModeAtom,
+    ModeBias,
     PartialInterpretation,
+    Placeholder,
     constraint_space,
     learn,
     learn_auto,
@@ -185,3 +190,88 @@ class TestLASDecomposition:
         # and the solution must satisfy both examples exactly
         assert task.positive_holds(result.candidates, examples[0])
         assert task.positive_holds(result.candidates, examples[1])
+
+
+class TestSeededAgreement:
+    """On random decomposable tasks whose labels come from a random target
+    hypothesis (so a zero-violation answer exists), the set-cover search
+    reaches the exact learner's cost in strict mode.  Spaces stay at 16
+    candidates or fewer, so the 16-coverer beam never binds."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_constraint_space(self, seed):
+        rng = random.Random(seed)
+        asg = parse_asg(GRAMMAR)
+        space = constraint_space(pool(), prod_ids=(0,), max_body=2)
+        assert len(space) <= 16
+        target = asg.with_rules(
+            [(c.rule, c.prod_id) for c in rng.sample(space, rng.randint(1, 2))]
+        )
+        texts = [f"allow {s} {a}" for s in ("alice", "bob") for a in ("read", "write")]
+        texts = rng.sample(texts, rng.randint(2, len(texts)))
+        positive = [t for t in texts if accepts(target, tuple(t.split()))]
+        negative = [t for t in texts if t not in positive]
+        task = ASGLearningTask(
+            asg,
+            space,
+            [ContextExample.from_text(t) for t in positive],
+            [ContextExample.from_text(t) for t in negative],
+        )
+        fast = DecomposableLearner(task).learn()
+        exact = learn(task)
+        assert fast.violations == exact.violations == 0
+        assert fast.cost == exact.cost
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_definite_rule_space(self, seed):
+        """Permit and deny rules over an empty background: both kinds of
+        example need a covering rule, and a rule for the other decision
+        that fires on an example breaks it (its ``bad`` bit).  With five
+        roles an action rule can cover more examples than any role rule
+        while breaking one, so the greedy warm start picks it unless the
+        strict prefilter has cleared it."""
+        rng = random.Random(seed)
+        roles, actions = ("dba", "dev", "guest", "ops", "audit"), ("read", "write")
+        bias = ModeBias(
+            head_modes=[
+                ModeAtom(Atom("decision", [Constant(d)])) for d in ("permit", "deny")
+            ],
+            body_modes=[
+                ModeAtom(Atom("role", [Placeholder("role")])),
+                ModeAtom(Atom("action", [Placeholder("action")])),
+            ],
+            pools={
+                "role": [Constant(r) for r in roles],
+                "action": [Constant(a) for a in actions],
+            },
+            max_body=1,
+            allow_constraints=False,
+            allow_negation=False,
+        )
+        space = bias.generate()
+        assert len(space) <= 16
+        background = parse_program("")
+        labeller = LASTask(background, space, [], [])
+
+        def example(decision, role, action):
+            other = "deny" if decision == "permit" else "permit"
+            return PartialInterpretation(
+                inclusions=[parse_atom(f"decision({decision})")],
+                exclusions=[parse_atom(f"decision({other})")],
+                context=parse_program(f"role({role}). action({action})."),
+            )
+
+        examples = []
+        while not examples:
+            target = rng.sample(space, rng.randint(3, 6))
+            for role in roles:
+                for action in actions:
+                    for decision in ("permit", "deny"):
+                        candidate = example(decision, role, action)
+                        if labeller.positive_holds(target, candidate):
+                            examples.append(candidate)
+        task = LASTask(background, space, examples, [])
+        fast = DecomposableLearner(task).learn()
+        exact = learn(task)
+        assert fast.violations == exact.violations == 0
+        assert fast.cost == exact.cost

@@ -22,6 +22,7 @@ from repro.learning import (
     PartialInterpretation,
     Placeholder,
     constraint_space,
+    decomposable,
 )
 from repro.telemetry import Tracer, format_summary, summarize, tracer_scope
 
@@ -115,6 +116,19 @@ def test_decomposable_checks_count_the_oracle_calls_made():
         assert result.checks == counted.calls
         (span,) = [s for s in tracer.spans if s["name"] == "learn.decomposable"]
         assert span["counters"]["learner.checks"] == counted.calls
+
+
+def test_decomposable_counts_node_limit_hits(monkeypatch):
+    task = asg_task()
+    tracer = Tracer()
+    with tracer_scope(tracer):
+        DecomposableLearner(task).learn()
+        monkeypatch.setattr(decomposable, "MAX_NODES", 1)
+        capped = DecomposableLearner(task).learn()
+    full, cut = [s for s in tracer.spans if s["name"] == "learn.decomposable"]
+    assert "learner.node_limit_hits" not in full["counters"]
+    assert cut["counters"]["learner.node_limit_hits"] == 1
+    assert capped.violations == 0  # the greedy warm start, still verified
 
 
 def test_decomposable_checks_include_pair_and_verify_checks():
